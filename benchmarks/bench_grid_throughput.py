@@ -4,21 +4,21 @@ Times :func:`repro.perfmodel.simulate_grid` against the equivalent scalar
 ``simulate_spmv`` loop over the configured preset's instances x all nine
 testbeds x their Table-II format lists, cold and warm.  Cold is the real
 cold path each engine offers: the scalar leg pays instance
-materialisation plus the per-triple loop, the batched leg goes through
-the fused spec source (:class:`repro.perfmodel.FusedSpecSource`) —
-structure arrays and batched analytic stats straight from the specs, no
-``MatrixInstance`` objects at all.  Warm re-scores pools whose
-structural caches are already hot — the steady state of selector
-training and repeated sweeps.  Results land in
+materialisation plus the per-triple loop, the batched leg builds the
+sweep's per-spec records (:func:`repro.perfmodel.record.build_records`)
+— structure arrays and batched analytic stats straight from the specs,
+no ``MatrixInstance`` objects at all — and scores them.  Warm re-scores
+pools whose structural caches are already hot — the steady state of
+selector training and repeated sweeps.  Results land in
 ``benchmarks/results/BENCH_grid.json`` (mirrored to the repo-root
 ``BENCH_grid.json`` snapshot) next to the pipeline bench so the repo's
 performance trajectory stays machine-readable.
 
-The batched rows — fused cold rows included — are asserted identical to
-the scalar measurements (speed must not change results); the warm
-speedup is gated at >= 10x (the PR-2 acceptance floor) and the cold
-speedup at >= 1x (fused cold scoring must never lose to materialise-
-then-loop).
+The batched rows — record-scored cold rows included — are asserted
+identical to the scalar measurements (speed must not change results);
+the warm speedup is gated at >= 10x (the PR-2 acceptance floor) and the
+cold speedup at >= 1x (record-built cold scoring must never lose to
+materialise-then-loop).
 """
 
 import json
@@ -27,10 +27,9 @@ import time
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.formats.base import FormatError
-from repro.perfmodel import (
-    FusedSpecSource, MatrixInstance, simulate_grid, simulate_spmv,
-)
-from repro.perfmodel.batch import _score_grid
+from repro.perfmodel import MatrixInstance, simulate_grid, simulate_spmv
+from repro.perfmodel.batch import _GridPlan, _score_grid
+from repro.perfmodel.record import RecordSource, build_records
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
 
@@ -100,14 +99,14 @@ def test_grid_vs_scalar_throughput():
         _scalar_loop(pool)
         t_scalar_warm += time.perf_counter() - t0
 
-        # Batched engine, cold: the fused path — specs to structure
-        # arrays to batched analytic stats to scored grid, no instances
-        # at all.  Names match the scalar pool so noise keys (hence
-        # rows) agree.
+        # Batched engine, cold: the sweep path — specs to structure
+        # arrays to per-spec records to scored grid, no instances at
+        # all.  Names match the scalar pool so noise keys (hence rows)
+        # agree.
         t0 = time.perf_counter()
-        fused_grid = _score_grid(
-            FusedSpecSource(sub, names, max_nnz=MAX_NNZ),
-            DEVICES, seed=SEED,
+        records = build_records(sub, MAX_NNZ, _GridPlan(DEVICES))
+        cold_grid = _score_grid(
+            RecordSource(records, names), DEVICES, seed=SEED,
         )
         t_batch_cold += time.perf_counter() - t0
         # Batched engine, warm: one vectorised pass over the hot pool.
@@ -115,7 +114,7 @@ def test_grid_vs_scalar_throughput():
         grid = simulate_grid(pool, DEVICES, seed=SEED)
         t_batch_warm += time.perf_counter() - t0
 
-        _assert_rows_match(fused_grid, rows)
+        _assert_rows_match(cold_grid, rows)
         _assert_rows_match(grid, rows)
         scalar_rows.extend(rows)
 
@@ -147,7 +146,7 @@ def test_grid_vs_scalar_throughput():
         f"({cells} triples, scale={SCALE})\n"
         f"  scalar: cold {t_scalar_cold:.2f}s, warm {t_scalar_warm:.2f}s "
         f"({cells / t_scalar_warm:,.0f} triples/s)\n"
-        f"  batch:  cold {t_batch_cold:.2f}s (fused), "
+        f"  batch:  cold {t_batch_cold:.2f}s (records), "
         f"warm {t_batch_warm:.2f}s "
         f"({cells / t_batch_warm:,.0f} triples/s)\n"
         f"  warm speedup: {speedup_warm:.1f}x, "
@@ -155,11 +154,11 @@ def test_grid_vs_scalar_throughput():
     )
     # The acceptance floors: one vectorised pass beats the scalar loop
     # by an order of magnitude once instances are materialised, and the
-    # fused cold pass must at least match materialise-then-loop.
+    # record-built cold pass must at least match materialise-then-loop.
     assert speedup_warm >= 10.0, (
         f"batched grid only {speedup_warm:.1f}x over the scalar loop"
     )
     assert speedup_cold >= 1.0, (
-        f"fused cold grid lost to the scalar cold path: "
+        f"record-built cold grid lost to the scalar cold path: "
         f"{speedup_cold:.2f}x"
     )

@@ -2,7 +2,7 @@
 
 The resilient worker crew (per-chunk deadlines, retry bookkeeping,
 journal hooks, crash detection) must be essentially free when nothing
-goes wrong.  This bench times fault-free fused sweeps under both
+goes wrong.  This bench times fault-free sweeps under both
 dispatch engines — legs interleaved and order-alternated so machine
 speed drift cancels, best-of-``REPEATS`` per engine — asserts the
 tables row-identical to each other and to a serial reference, gates the
@@ -39,7 +39,7 @@ REPEATS = 3
 def _timed_sweep(specs, dispatch):
     ds = Dataset(specs, max_nnz=MAX_NNZ, name=SCALE)
     t0 = time.perf_counter()
-    table = sweep(ds, DEVICES, jobs=JOBS, fused=True, dispatch=dispatch)
+    table = sweep(ds, DEVICES, jobs=JOBS, dispatch=dispatch)
     return time.perf_counter() - t0, table
 
 
@@ -61,7 +61,7 @@ def test_resilient_dispatch_overhead():
     # reference, produce the same rows.
     assert tables["resilient"].rows == tables["pool"].rows
     serial = sweep(
-        Dataset(specs, max_nnz=MAX_NNZ, name=SCALE), DEVICES, fused=True
+        Dataset(specs, max_nnz=MAX_NNZ, name=SCALE), DEVICES
     )
     assert tables["resilient"].rows == serial.rows
 
@@ -88,7 +88,7 @@ def test_resilient_dispatch_overhead():
 
     emit(
         "resilience_dispatch_overhead",
-        f"fused sweep of {len(specs)} specs (scale={SCALE}, "
+        f"sweep of {len(specs)} specs (scale={SCALE}, "
         f"jobs={JOBS}, best of {REPEATS})\n"
         f"  pool:      {best_pool:.2f}s  {times['pool']}\n"
         f"  resilient: {best_resilient:.2f}s  {times['resilient']}\n"

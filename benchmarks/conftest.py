@@ -45,12 +45,7 @@ def emit(name: str, text: str) -> str:
 def paper_dataset():
     """The Table-I artificial dataset at the configured scale."""
     specs = build_dataset_specs(SCALE)
-    cache = None
-    if CACHE_DIR:
-        from repro.pipeline import InstanceCache
-
-        cache = InstanceCache(CACHE_DIR)
-    return Dataset(specs, max_nnz=MAX_NNZ, name=SCALE, cache=cache)
+    return Dataset(specs, max_nnz=MAX_NNZ, name=SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ Six subcommands wrap the library's main workflows::
     repro validate   --ids 1,11,39 --device AMD-EPYC-24
     repro experiment --scale tiny --protocol kfold --out result.json
     repro experiment --table t.npz --protocol kfold --out result.json
-    repro pack       cache_dir/ [--prune]     (or: repro pack t.npz)
-    repro unpack     cache_dir/cache.rpak --out restored/
-    repro ls         cache_dir/cache.rpak [--verify]
+    repro pack       t.npz [--out t.rpak]
+    repro unpack     t.rpak --out t.npz      (or: run/shards.rpak --out d/)
+    repro ls         cache_dir/records.rpak [--verify]
     repro train      --table t.npz --device Tesla-A100 --out model.npz
     repro serve      --table t.npz --selector model.npz --port 8077
 
@@ -94,20 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel sweep workers (0 = auto-detect cores; "
                         "output is identical to --jobs 1)")
     w.add_argument("--cache-dir", default=None,
-                   help="persistent instance cache directory; warm "
-                        "re-sweeps skip matrix generation")
-    w.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="score chunks through the vectorised grid "
-                        "simulator (default; --no-batch keeps the scalar "
-                        "reference loop — output is identical)")
-    w.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="fused cold path: score spec chunks straight "
-                        "from generated CSR structure arrays (no "
-                        "instance materialisation, no cache traffic; "
-                        "output is identical — fastest when the cache "
-                        "is cold)")
+                   help="keep each spec's measurement record in "
+                        "<dir>/records.rpak; warm re-sweeps skip matrix "
+                        "generation (output is identical)")
     w.add_argument("--all-formats", action="store_true",
                    help="one row per (matrix, device, format) instead "
                         "of the best format per (matrix, device) — "
@@ -199,30 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel sweep workers (0 = auto-detect cores; "
                         "results are identical to --jobs 1)")
     e.add_argument("--cache-dir", default=None,
-                   help="persistent instance cache directory")
-    e.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="score the sweep through the vectorised grid "
-                        "simulator (default; results identical either way)")
+                   help="sweep record cache directory (see `repro "
+                        "sweep --cache-dir`)")
     e.add_argument("--out", default=None,
                    help="write results to a .json (full, deterministic) "
                         "or .csv (per-fold summary) file")
 
     p = sub.add_parser(
-        "pack",
-        help="fold a cache directory or saved sweep table into a "
-             "single .rpak pack",
+        "pack", help="fold a saved sweep table into a single .rpak pack",
     )
     p.add_argument("src",
-                   help="cache directory (from --cache-dir) or saved "
-                        "table (.npz from `repro sweep --out`)")
+                   help="saved table (.npz from `repro sweep --out`)")
     p.add_argument("--out", default=None,
-                   help="pack path (default: <src>/cache.rpak for a "
-                        "directory, <src>.rpak for a table)")
-    p.add_argument("--prune", action="store_true",
-                   help="after verifying every packed entry's checksum, "
-                        "remove the loose cache files the pack now "
-                        "serves (directories only)")
+                   help="pack path (default: <src>.rpak)")
 
     u = sub.add_parser(
         "unpack",
@@ -230,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     u.add_argument("pack", help=".rpak path")
     u.add_argument("--out", required=True,
-                   help="destination: a directory for cache/shard "
-                        "packs, a table path (.npz) for table packs")
+                   help="destination: a directory for shard packs, a "
+                        "table path (.npz) for table packs")
 
     ls = sub.add_parser("ls", help="list the entries of a .rpak pack")
     ls.add_argument("pack", help=".rpak path")
@@ -437,8 +415,6 @@ def _cmd_sweep(args) -> int:
     )
     jobs = resolve_jobs(args.jobs)
     engine = f"{jobs} worker{'s' if jobs != 1 else ''}"
-    if args.fused:
-        engine += ", fused"
     if args.cache_dir:
         engine += f", cache at {args.cache_dir}"
     if run_dir:
@@ -455,8 +431,7 @@ def _cmd_sweep(args) -> int:
         # parallel runs alike.
         table = sweep(
             dataset, devices, best_only=not args.all_formats,
-            jobs=args.jobs, cache_dir=args.cache_dir, batch=args.batch,
-            fused=args.fused,
+            jobs=args.jobs, cache_dir=args.cache_dir,
             run_dir=run_dir, resume=bool(args.resume),
             pack_shards=args.pack_shards,
             faults=args.faults, chunk_timeout=args.chunk_timeout,
@@ -597,7 +572,7 @@ def _cmd_experiment(args) -> int:
             f"seed={spec.seed}) ..."
         )
     result = run_experiment(
-        spec, jobs=args.jobs, cache_dir=args.cache_dir, batch=args.batch,
+        spec, jobs=args.jobs, cache_dir=args.cache_dir,
         progress=lambda i, n: print(f"\r  sweep {i}/{n}", end="",
                                     flush=True),
         table=table,
@@ -621,39 +596,33 @@ _CHUNK_RE = r"chunk-(\d{6})/"
 def _cmd_pack(args) -> int:
     from pathlib import Path
 
+    from .io import load_table
+    from .io.pack import PackWriter
+
     src = Path(args.src)
     if not src.exists():
         raise ValueError(
-            f"{src} does not exist; point `repro pack` at a cache "
-            "directory (--cache-dir) or a saved sweep table (.npz)"
+            f"{src} does not exist; point `repro pack` at a saved sweep "
+            "table (.npz)"
         )
     if src.is_dir():
-        from .pipeline.cache import pack_cache_dir
-
-        entries, out = pack_cache_dir(
-            src, out=args.out, prune=args.prune
+        raise ValueError(
+            f"{src} is a directory; a --cache-dir already keeps its "
+            "records in one pack (records.rpak) — inspect it with "
+            "`repro ls <dir>/records.rpak --verify`, or point `repro "
+            "pack` at a saved sweep table (.npz)"
         )
-        what = f"{entries} cache entr{'y' if entries == 1 else 'ies'}"
-        if args.prune:
-            what += " (loose pairs pruned)"
-    else:
-        if args.prune:
-            raise ValueError(
-                "--prune only applies to cache directories; a packed "
-                "table never shadows loose files"
-            )
-        from .io import load_table
-        from .io.pack import PackWriter
-
-        table = load_table(src)
-        out = Path(args.out) if args.out else src.with_suffix(".rpak")
-        blobs = table.to_blobs(prefix=_TABLE_PREFIX)
-        with PackWriter.create(out) as writer:
-            for key in sorted(blobs):
-                kind = "meta" if key.endswith("__meta__") else "col"
-                writer.add(key, kind, blobs[key])
-        what = f"{len(table)} table rows ({len(blobs)} column blobs)"
-    print(f"packed {what} into {out} ({out.stat().st_size} bytes)")
+    table = load_table(src)
+    out = Path(args.out) if args.out else src.with_suffix(".rpak")
+    blobs = table.to_blobs(prefix=_TABLE_PREFIX)
+    with PackWriter.create(out) as writer:
+        for key in sorted(blobs):
+            kind = "meta" if key.endswith("__meta__") else "col"
+            writer.add(key, kind, blobs[key])
+    print(
+        f"packed {len(table)} table rows ({len(blobs)} column blobs) "
+        f"into {out} ({out.stat().st_size} bytes)"
+    )
     return 0
 
 
@@ -701,11 +670,12 @@ def _cmd_unpack(args) -> int:
                 f"unpacked {len(chunk_ids)} chunk shards to {out}"
             )
             return 0
-    from .pipeline.cache import unpack_cache
-
-    written = unpack_cache(args.pack, out)
-    print(f"unpacked {written} cache files to {out}")
-    return 0
+    raise ValueError(
+        f"{args.pack} holds neither a packed table nor journal shards; "
+        "a sweep record cache (records.rpak) has no loose form — list "
+        "it with `repro ls --verify` and reuse it with `repro sweep "
+        "--cache-dir`"
+    )
 
 
 def _cmd_ls(args) -> int:

@@ -1,17 +1,18 @@
-"""Dataset containers: lazily materialised matrix instances + measurements.
+"""Dataset containers: specs, lazily materialised instances, sweeps.
 
 A :class:`Dataset` owns a list of specs and materialises
-:class:`~repro.perfmodel.instance.MatrixInstance` objects on demand
-(generation dominates runtime, so instances are cached).  The
-:func:`sweep` helper runs the simulator across devices/formats and
-returns a columnar :class:`~repro.core.table.SweepTable` that the
-analysis, ml and experiment layers consume directly.
+:class:`~repro.perfmodel.instance.MatrixInstance` objects on demand for
+callers that want whole matrices.  The :func:`sweep` helper runs the
+simulator across devices/formats and returns a columnar
+:class:`~repro.core.table.SweepTable` that the analysis, ml and
+experiment layers consume directly.
 
-:func:`spec_rows` (scalar, dict rows) and :func:`grid_spec_rows`
-(batched, dict rows) remain the reference paths the agreement suites
-compare against; :func:`grid_spec_table` is the production path — it
-assembles the table's columns straight from the grid simulator's
-structured array, without materialising a dict per row.
+Sweeps never materialise instances: :func:`records_table` scores a
+chunk from its per-spec measurement records
+(:mod:`repro.perfmodel.record`).  :func:`spec_rows` (scalar, dict
+rows), :func:`grid_spec_rows` (batched, dict rows) and
+:func:`grid_spec_table` (batched, columnar) score instances instead and
+remain the reference paths the agreement suites compare against.
 """
 
 from __future__ import annotations
@@ -25,30 +26,23 @@ from .generator import MatrixSpec
 from .table import SweepTable
 
 __all__ = ["Dataset", "sweep", "spec_rows", "grid_spec_rows",
-           "grid_spec_table", "fused_spec_table", "SweepTable"]
+           "grid_spec_table", "records_table", "SweepTable"]
 
 DEFAULT_MAX_NNZ = 100_000
 
 
 class Dataset:
-    """A list of matrix specs with cached instances.
-
-    ``cache`` is an optional persistent instance store (see
-    :class:`repro.pipeline.InstanceCache`): when set, :meth:`instance`
-    first consults it before materialising the matrix from its spec.
-    """
+    """A list of matrix specs with cached instances."""
 
     def __init__(
         self,
         specs: Sequence[MatrixSpec],
         max_nnz: int = DEFAULT_MAX_NNZ,
         name: str = "dataset",
-        cache=None,
     ):
         self.specs = list(specs)
         self.max_nnz = max_nnz
         self.name = name
-        self.cache = cache
         self._instances: Dict[int, "MatrixInstance"] = {}
 
     def __len__(self) -> int:
@@ -59,15 +53,10 @@ class Dataset:
         from ..perfmodel.instance import MatrixInstance
 
         if i not in self._instances:
-            name = f"{self.name}[{i}]"
-            inst = None
-            if self.cache is not None:
-                inst = self.cache.fetch(self.specs[i], self.max_nnz, name)
-            if inst is None:
-                inst = MatrixInstance.from_spec(
-                    self.specs[i], max_nnz=self.max_nnz, name=name
-                )
-            self._instances[i] = inst
+            self._instances[i] = MatrixInstance.from_spec(
+                self.specs[i], max_nnz=self.max_nnz,
+                name=f"{self.name}[{i}]",
+            )
         return self._instances[i]
 
     def instances(self) -> Iterable:
@@ -270,8 +259,8 @@ def _grid_sweep_table(
     grid, per_inst: Dict[str, np.ndarray], best_only: bool, precision: str
 ) -> SweepTable:
     """Assemble the measurement table from a scored grid plus the chunk's
-    per-spec scalar columns — shared by the instance and fused paths, so
-    both emit byte-identical tables by construction."""
+    per-spec scalar columns — shared by the instance and record paths,
+    so both emit byte-identical tables by construction."""
     from ..perfmodel.batch import STATUS_OK
     from ..perfmodel.simulator import BOTTLENECKS
 
@@ -319,26 +308,18 @@ def grid_spec_table(
     formats: Optional[Sequence[str]] = None,
     seed: int = 0,
     precision: str = "fp64",
-    instances: Optional[Sequence] = None,
 ) -> SweepTable:
-    """Columnar measurement table for specs ``lo..hi`` — the production
-    sweep path.
+    """Columnar measurement table for specs ``lo..hi`` scored from
+    materialised instances — the columnar reference path.
 
     Row-for-row identical (via ``to_rows()``) to :func:`grid_spec_rows`
-    plus a constant ``precision`` column, but the columns are gathered
-    straight from the grid simulator's structured array and the
-    per-instance feature/spec scalars — no dict per row, ever.
-    ``instances`` lets a caller that already materialised the chunk (the
-    pipeline engine, which also owns cache write-back) pass it in; the
-    default materialises through ``dataset.instance``.
+    plus a constant ``precision`` column, and table-identical to the
+    production :func:`records_table`.
     """
     from ..perfmodel.batch import simulate_grid
 
     indices = list(range(lo, hi))
-    if instances is None:
-        instances = [dataset.instance(i) for i in indices]
-    elif len(instances) != len(indices):
-        raise ValueError("instances must cover exactly specs lo..hi")
+    instances = [dataset.instance(i) for i in indices]
     grid = simulate_grid(instances, devices, formats=formats, seed=seed,
                          precisions=(precision,))
     per_inst = _per_inst_columns(
@@ -347,37 +328,31 @@ def grid_spec_table(
     return _grid_sweep_table(grid, per_inst, best_only, precision)
 
 
-def fused_spec_table(
+def records_table(
     dataset: Dataset,
     lo: int,
     hi: int,
+    records: Sequence,
     devices: Sequence[Device],
     best_only: bool = True,
     formats: Optional[Sequence[str]] = None,
     seed: int = 0,
     precision: str = "fp64",
 ) -> SweepTable:
-    """Measurement table for specs ``lo..hi`` via the fused cold path.
-
-    Specs go straight to CSR structure arrays, batched analytic format
-    statistics and grid scoring — no :class:`MatrixInstance`, no value
-    payloads, no cache traffic.  Output is row-for-row bit-identical to
-    :func:`grid_spec_table` over the same chunk (the fused agreement
-    suite locks this down); use it when the instance cache is cold and
-    the matrices are not needed afterwards.
-    """
+    """Measurement table for specs ``lo..hi`` scored from their
+    :class:`~repro.perfmodel.record.SpecRecord` s — the production sweep
+    path (the records must cover every cell of the grid; see
+    :func:`~repro.perfmodel.record.chunk_records`)."""
     from ..perfmodel.batch import _score_grid
-    from ..perfmodel.fused import FusedSpecSource
+    from ..perfmodel.record import RecordSource
 
     indices = list(range(lo, hi))
-    source = FusedSpecSource(
-        [dataset.specs[i] for i in indices],
-        [f"{dataset.name}[{i}]" for i in indices],
-        max_nnz=dataset.max_nnz,
-    )
+    source = RecordSource(records, [f"{dataset.name}[{i}]" for i in indices])
     grid = _score_grid(source, devices, formats=formats, seed=seed,
                        precisions=(precision,))
-    per_inst = _per_inst_columns(indices, dataset.specs, source.features)
+    per_inst = _per_inst_columns(
+        indices, dataset.specs, lambda ci: records[ci].features
+    )
     return _grid_sweep_table(grid, per_inst, best_only, precision)
 
 
@@ -390,9 +365,7 @@ def sweep(
     progress: Optional[Callable[[int, int], None]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    batch: bool = True,
     precision: str = "fp64",
-    fused: bool = False,
     run_dir: Optional[str] = None,
     resume: bool = False,
     pack_shards: bool = False,
@@ -413,15 +386,12 @@ def sweep(
 
     ``jobs`` selects the execution engine: 1 (the default) stays serial
     and in-process, ``jobs > 1`` shards over a process pool and 0
-    auto-detects the core count.  ``cache_dir`` enables the persistent
-    instance cache.  ``batch`` (the default) scores each chunk through
-    the vectorised grid simulator; ``batch=False`` keeps the scalar
-    per-triple loop.  ``precision`` scores every cell at fp64 (the
-    default) or fp32.  ``fused`` scores chunks straight from the specs
-    (structure generation + batched analytic stats, no instances and no
-    cache traffic) — the cold-sweep fast path.  Output is row-for-row
-    identical across all engines, cache states, batch and fused modes;
-    every path funnels through :func:`repro.pipeline.run_sweep`.
+    auto-detects the core count.  ``cache_dir`` keeps each spec's
+    measurement record in ``<cache_dir>/records.rpak`` so warm re-sweeps
+    skip generation.  ``precision`` scores every cell at fp64 (the
+    default) or fp32.  Output is row-for-row identical across ``jobs``
+    values and cache states; every path funnels through
+    :func:`repro.pipeline.run_sweep`.
 
     Resilience controls pass straight through to the engine: ``run_dir``
     journals completed chunks (``resume=True`` skips them on a rerun,
@@ -438,9 +408,8 @@ def sweep(
     return run_sweep(
         dataset, devices, best_only=best_only, formats=formats,
         seed=seed, jobs=jobs, cache_dir=cache_dir, progress=progress,
-        batch=batch, precision=precision, fused=fused,
-        run_dir=run_dir, resume=resume, pack_shards=pack_shards,
-        faults=faults,
+        precision=precision, run_dir=run_dir, resume=resume,
+        pack_shards=pack_shards, faults=faults,
         chunk_timeout=chunk_timeout, max_retries=max_retries,
         report=report, dispatch=dispatch,
     )

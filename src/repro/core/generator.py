@@ -607,7 +607,7 @@ def _chain_structure(
     Sorting the flattened ``row * n_cols + col`` keys and dropping adjacent
     duplicates produces exactly the sorted unique (row, col) set that
     :func:`~repro.core.matrix.csr_from_coo` emits, without carrying values
-    through the lexsort — the fused agreement suite pins the equality.
+    through the lexsort — the record agreement suite pins the equality.
     """
     coo = _chain_coo(
         n_rows, n_cols, lengths, bw_scaled, cross_row_sim, avg_num_neigh,
@@ -736,8 +736,8 @@ def artificial_structure_generation(
     matrix the full generator would produce for the same parameters.  Every
     engine draws element values *last*, after the structure is final, so
     skipping the value draw consumes an identical RNG stream and the
-    structure is bit-identical (the fused agreement suite enforces this).
-    The fused cold path uses this entry to skip value allocation entirely.
+    structure is bit-identical (the record agreement suite enforces this).
+    Sweeps use this entry to skip value allocation entirely.
     """
     if method not in _STRUCTURE_ENGINES:
         raise ValueError(f"unknown method {method!r}")
@@ -875,7 +875,7 @@ def generate_matrix(spec: MatrixSpec, max_nnz: Optional[int] = None):
 
 
 def structure_batch(specs, max_nnz: Optional[int] = None) -> CSRStructBatch:
-    """Chunked structure generation for the fused cold path.
+    """Chunked structure generation for the sweep's record builder.
 
     Generates the representative CSR *structure* (``indptr``/``indices``)
     for every spec in ``specs`` — each down-scaled through

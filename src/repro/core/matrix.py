@@ -241,7 +241,7 @@ def csr_from_arrays(n_rows, n_cols, indptr, indices, data) -> CSRMatrix:
 class CSRStructBatch:
     """Stacked CSR *structure* arrays for a chunk of matrices.
 
-    The fused cold path scores whole chunks of specs without materialising
+    Sweeps build whole chunks of spec records without materialising
     per-instance Python objects, so the generator emits one flat container:
     per-matrix dimensions plus the concatenated row-length and column-index
     arrays with prefix offsets.  Values are never stored — every analytic

@@ -64,7 +64,7 @@ def _chunk_sums(
 
     ``csum`` optionally supplies the precomputed ``[0, cumsum(values)]``
     prefix array — integer sums, so sharing it across partitioners is
-    exact; the fused cold path computes it once per row profile.
+    exact; the sweep's record builder computes it once per row profile.
     """
     if csum is None:
         csum = np.concatenate(([0], np.cumsum(values)))
@@ -232,7 +232,8 @@ def lockstep_channel_imbalance(
 # with reshape-based reductions.  Every load is a sum of *integer-valued*
 # terms well below 2^53, so float64 accumulation order cannot change the
 # result: each twin is bit-identical to its reference partitioner (the twin
-# agreement tests pin this), and the fused cold path routes through them.
+# agreement tests pin this), and the sweep's record builder routes
+# through them.
 # ---------------------------------------------------------------------------
 def sell_chunk_widths(
     row_lengths: np.ndarray, C: int = 32, sigma: int = 1024
@@ -393,7 +394,7 @@ def imbalance_for_strategy_fast(
     precomputations — the integer prefix-sum (``csum``) across the
     contiguous-block partitioners, the SELL chunk widths
     (``sell_widths``) and the warp-cycle counts (``warp_cycles``).
-    Bit-identical results — the fused cold path's dispatcher."""
+    Bit-identical results — the sweep's record builder's dispatcher."""
     if strategy == "warp_row":
         return warp_per_row_fast(
             row_lengths, n_workers, simd_width, cycles=warp_cycles

@@ -190,15 +190,14 @@ def run_experiment(
     spec: ExperimentSpec,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    batch: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
     table: Optional[SweepTable] = None,
 ) -> ExperimentResult:
     """Run one cross-validated selector experiment end-to-end.
 
-    ``jobs``/``cache_dir``/``batch`` tune the sweep engine only — they
-    never change the result (row-identical engines, bit-identical
-    batched selector scoring).  ``progress`` receives the sweep's
+    ``jobs``/``cache_dir`` tune the sweep engine only — they never
+    change the result (row-identical sweeps, bit-identical batched
+    selector scoring).  ``progress`` receives the sweep's
     (done, total) callbacks.
 
     ``table`` skips the sweep entirely and runs the protocol over a
@@ -233,7 +232,7 @@ def run_experiment(
         table = sweep(
             dataset, devices, best_only=False,
             formats=list(spec.formats) if spec.formats else None,
-            seed=spec.seed, jobs=jobs, cache_dir=cache_dir, batch=batch,
+            seed=spec.seed, jobs=jobs, cache_dir=cache_dir,
             precision=spec.precision, progress=progress,
         )
     if spec.protocol == "kfold":

@@ -84,7 +84,7 @@ class FormatStatsBatch:
     One entry per matrix of a :class:`~repro.core.matrix.CSRStructBatch`.
     Refusals are carried in-band: ``fail[i]`` marks matrices the format
     rejected and ``fail_reason[i]`` holds the exact :class:`FormatError`
-    message the scalar path would have raised — the fused sweep replays
+    message the scalar path would have raised — sweep records replay
     both, so skip reasons stay bit-identical to the instance path.
     """
 
@@ -201,7 +201,7 @@ class SparseFormat(abc.ABC):
     ) -> FormatStatsBatch:
         """Batched analytic statistics for a whole structure chunk.
 
-        The fused cold path calls this once per format per chunk.  Hot
+        The sweep's record builder calls this once per format per chunk.  Hot
         formats override it with vectorised column math over the stacked
         structure arrays; this default is the per-instance fallback — it
         scores each matrix through :meth:`stats_from_csr` and folds
@@ -210,7 +210,7 @@ class SparseFormat(abc.ABC):
         messages) as the scalar path, just one matrix at a time.
 
         ``matrices`` optionally supplies pre-materialised per-chunk
-        :class:`CSRMatrix` views (the fused driver shares one set across
+        :class:`CSRMatrix` views (the record builder shares one set across
         every fallback format); otherwise each is built from the batch.
         """
         n = len(batch)

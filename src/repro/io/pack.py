@@ -1,10 +1,10 @@
 """Single-file binary pack store for sweep artifacts.
 
-The content-keyed :class:`~repro.pipeline.cache.InstanceCache` and the
-run journal's per-chunk shards historically persisted every artifact as
-its own small file, so a warm corpus cost thousands of ``stat``/``open``
-calls and could not be shipped as one object.  A *pack* folds those
-artifacts into one versioned binary file::
+The sweep's record cache (:mod:`repro.pipeline.cache`), pack-backed run
+journal shards and packed sweep tables all keep many small artifacts;
+as loose files they would cost thousands of ``stat``/``open`` calls and
+could not be shipped as one object.  A *pack* folds them into one
+versioned binary file::
 
     offset 0   header (64 bytes)
                magic   8s   b"RPACK1\\n\\0"
@@ -37,21 +37,22 @@ Atomicity contract (docs/pack_store.md has the full derivation):
   only then does a single 64-byte header write at offset 0 switch the
   pack to the new table.  A crash before the switch leaves the old pack
   intact with an ignored tail; the superseded table becomes a small
-  dead region reclaimed by the next :func:`compact`.  Appends assume
-  one writer at a time (the sweep engine appends shards from the parent
-  process only).
+  dead region reclaimed by the next :func:`compact`.  Appends are
+  serialised across processes by an exclusive ``flock`` on the pack;
+  :meth:`Pack.open` reads the entry table under a shared one.
 
 Corruption never panics and never destroys evidence: a bad magic,
 truncated file, entry-table checksum mismatch or schema-version drift
 raises an actionable :class:`PackError` / :class:`PackVersionError`,
-and the cache layer quarantines the damaged pack instead of deleting
+and the record cache quarantines the damaged pack instead of deleting
 it (see ``repro.pipeline.cache``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
-import io
 import mmap
 import os
 import struct
@@ -279,8 +280,12 @@ class Pack:
         except OSError as exc:
             raise PackError(f"{path}: cannot open pack ({exc})") from exc
         try:
+            # Shared lock while the table is read: an append holds the
+            # exclusive one until its header commit.
+            fcntl.flock(fh, fcntl.LOCK_SH)
             size = os.fstat(fh.fileno()).st_size
             _, table = _read_index(fh, size, path)
+            fcntl.flock(fh, fcntl.LOCK_UN)
             if size:
                 mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             else:  # pragma: no cover - size>=HEADER_SIZE was checked
@@ -466,41 +471,72 @@ class PackWriter:
             self.abort()
 
 
+@contextlib.contextmanager
+def _locked_for_append(path: Path):
+    """``path`` opened ``r+b`` (created empty if absent) under an
+    exclusive ``flock``.
+
+    After the lock is granted the descriptor must still be the file at
+    ``path``: a reader may have moved a corrupt pack into quarantine
+    while this writer waited, and appending to the moved file would lose
+    the records, so the open is retried on the current path.
+    """
+    while True:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        fh = os.fdopen(fd, "r+b")
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                current = os.stat(path).st_ino
+            except FileNotFoundError:
+                current = None
+            if current == os.fstat(fh.fileno()).st_ino:
+                yield fh
+                return
+        finally:
+            fh.close()  # also releases the lock
+
+
 def append_entries(
     path: Union[str, Path],
     items: Iterable[Tuple[str, str, bytes]],
     compress: bool = False,
 ) -> int:
-    """Two-phase append of ``(key, kind, data)`` blobs to an existing
-    pack (created first if absent).
+    """Two-phase append of ``(key, kind, data)`` blobs to a pack
+    (created empty first if absent).
 
     Existing blobs and the live entry table are never rewritten: new
     blobs plus the new table land after the current end of file and are
     fsynced; only then does the 64-byte header switch the pack over.
-    An identical entry (same key, kind and payload hash) is skipped, so
-    re-appending after a retry is idempotent; a changed payload for an
-    existing key appends a shadowing record (last record wins).
+    An identical entry (same key, kind and payload hash, stored bytes
+    still intact) is skipped, so re-appending after a retry is
+    idempotent; a changed — or damaged — entry gets a shadowing record
+    (last record wins).
 
-    Returns the number of entries actually appended.  Single-writer:
-    concurrent appends to one pack are not supported (the sweep engine
-    appends only from the parent process).
+    Appends are serialised across processes by an exclusive ``flock`` on
+    the pack (readers take a shared one while :meth:`Pack.open` reads the
+    table), so several sweeps may share one cache directory.  Returns
+    the number of entries actually appended.
     """
     path = Path(path)
     items = list(items)
-    if not path.exists():
-        with PackWriter.create(path) as writer:
-            for key, kind, data in items:
-                writer.add(key, kind, data, compress=compress)
-        return len(items)
-
-    with open(path, "r+b") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _locked_for_append(path) as fh:
         size = os.fstat(fh.fileno()).st_size
+        if size < HEADER_SIZE:
+            # No committed pack yet (a new file, or a first append that
+            # died before its header landed): commit an empty one, so a
+            # crash below leaves a valid pack with an ignored tail.
+            fh.truncate(0)
+            fh.write(_pack_header(HEADER_SIZE, 0, _encode_entries([])))
+            fh.flush()
+            os.fsync(fh.fileno())
+            size = HEADER_SIZE
         _, table = _read_index(fh, size, path)
         entries = _materialize_entries(table)
         known = {e.key: e for e in entries}
-        fh.seek(0, os.SEEK_END)
+        blobs: List[bytes] = []
         offset = size
-        added = 0
         for key, kind, data in items:
             _check_key(key)
             _check_kind(kind)
@@ -513,18 +549,20 @@ def append_entries(
             sha = hashlib.sha256(payload).digest()
             prev = known.get(key)
             if (prev is not None and prev.sha == sha
-                    and prev.kind == kind):
+                    and prev.kind == kind and _intact(fh, prev)):
                 continue  # idempotent re-append (retried chunk)
             entry = PackEntry(key, kind, offset, len(payload), osize,
                               sha, flags)
-            fh.write(payload)
+            blobs.append(payload)
             offset += len(payload)
             entries.append(entry)
             known[key] = entry
-            added += 1
-        if not added:
+        if not blobs:
             return 0
         table = _encode_entries(entries)
+        fh.seek(size)
+        for payload in blobs:
+            fh.write(payload)
         fh.write(table)
         fh.flush()
         os.fsync(fh.fileno())
@@ -534,7 +572,13 @@ def append_entries(
         fh.write(_pack_header(offset, len(entries), table))
         fh.flush()
         os.fsync(fh.fileno())
-    return added
+    return len(blobs)
+
+
+def _intact(fh, entry: PackEntry) -> bool:
+    """Whether ``entry``'s stored bytes still match its checksum."""
+    fh.seek(entry.offset)
+    return hashlib.sha256(fh.read(entry.csize)).digest() == entry.sha
 
 
 def compact(src: Union[str, Path], dst: Union[str, Path]) -> int:

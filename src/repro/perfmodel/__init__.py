@@ -10,5 +10,5 @@ from .simulator import (
     simulate_spmv,
 )
 from .batch import GridResult, GridSkip, simulate_grid
-from .fused import FusedSpecSource
+from .record import RecordSource, SpecRecord
 from .noise import measurement_noise, noise_factors, NOISE_SIGMA

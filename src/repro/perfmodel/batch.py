@@ -23,7 +23,9 @@ locks that property down over the full testbed grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -283,10 +285,10 @@ class _InstanceSource:
     The scoring kernel pulls everything about the matrix axis through this
     narrow interface — names, per-instance scalars, per-format stat
     columns, and lazily-requested SIMD utilisation / imbalance factors —
-    so the fused cold path (:mod:`repro.perfmodel.fused`) can drive the
-    identical kernel from columnar spec data without ever materialising
-    instances.  This adapter reproduces the historical per-instance loops
-    exactly, memoisation semantics included.
+    so sweeps (:class:`repro.perfmodel.record.RecordSource`) drive the
+    identical kernel from per-spec measurement records without ever
+    materialising instances.  This adapter reproduces the historical
+    per-instance loops exactly, memoisation semantics included.
     """
 
     def __init__(self, instances: Sequence[MatrixInstance]):
@@ -380,6 +382,172 @@ def simulate_grid(
     )
 
 
+class _GridGate(NamedTuple):
+    """Capacity verdicts of one grid and the measurements they need."""
+
+    fmt_bytes_by_p: List[np.ndarray]
+    x_y_bytes_by_p: List[np.ndarray]
+    cap_fail_by_p: List[np.ndarray]
+    friendly_df: np.ndarray     # (n_inst, n_df)
+    need_w: np.ndarray          # (n_inst, len(plan.widths))
+    need_key: np.ndarray        # (n_inst, len(plan.keys))
+
+
+class _GridPlan:
+    """The matrix-independent side of a grid.
+
+    Holds the ``(device, format)`` cell layout, the SIMD widths and
+    ``(strategy, n_workers, simd_width)`` imbalance keys the cells use,
+    and :meth:`gate`, which decides from a matrix axis's format stats
+    which of those measurements each matrix's cells need.  The scorer
+    and the record builder (:mod:`repro.perfmodel.record`) share it, so
+    a record carries exactly the measurements scoring asks for.
+    """
+
+    def __init__(
+        self,
+        devices: Sequence[Device],
+        formats: Optional[Sequence[str]] = None,
+        precisions: Sequence[str] = ("fp64",),
+    ):
+        self.devices = list(devices)
+        self.precisions = tuple(precisions)
+        for prec in self.precisions:
+            if prec not in PRECISIONS:
+                raise ValueError(
+                    f"unknown precision {prec!r}; available: "
+                    f"{sorted(PRECISIONS)}"
+                )
+        fmt_lists = _device_formats(self.devices, formats)
+
+        # Global format table in first-seen order (also validates names).
+        fmt_index: Dict[str, int] = {}
+        for names in fmt_lists:
+            for name in names:
+                if name not in fmt_index:
+                    get_format(name)  # raises KeyError for unknown formats
+                    fmt_index[name] = len(fmt_index)
+        self.format_names = list(fmt_index)
+
+        # (device, format) cell skeleton: one block per (prec, instance).
+        self.df_dev: List[int] = []
+        self.df_fmt: List[int] = []
+        self.device_slices: List[Tuple[int, int]] = []
+        for d, names in enumerate(fmt_lists):
+            lo = len(self.df_dev)
+            for name in names:
+                self.df_dev.append(d)
+                self.df_fmt.append(fmt_index[name])
+            self.device_slices.append((lo, len(self.df_dev)))
+        self.df_dev_arr = np.asarray(self.df_dev, dtype=np.int64)
+        self.df_fmt_arr = np.asarray(self.df_fmt, dtype=np.int64)
+        self.n_df = len(self.df_dev)
+
+        d_width = [int(dev.simd_width_dp) for dev in self.devices]
+        self.widths = sorted(set(d_width))
+        width_pos = {w: k for k, w in enumerate(self.widths)}
+        dev_w_pos = np.array([width_pos[w] for w in d_width],
+                             dtype=np.int64)
+        self.cell_w_pos = dev_w_pos[self.df_dev_arr]     # (n_df,)
+
+        # Deduplicate the (strategy, n_workers, simd_width) keys the
+        # cells need; repeats become table lookups.
+        fmt_strategy = [
+            getattr(get_format(name), "partition_strategy", "row_block")
+            for name in self.format_names
+        ]
+        self.keys: List[Tuple[str, int, int]] = []
+        key_pos: Dict[Tuple[str, int, int], int] = {}
+        self.df_key_idx = np.empty(self.n_df, dtype=np.int64)
+        for j in range(self.n_df):
+            dev = self.devices[self.df_dev[j]]
+            key = (fmt_strategy[self.df_fmt[j]], dev.n_workers,
+                   dev.simd_width_dp)
+            if key not in key_pos:
+                key_pos[key] = len(self.keys)
+                self.keys.append(key)
+            self.df_key_idx[j] = key_pos[key]
+
+        self.cap_df = np.array(
+            [dev.matrix_capacity_bytes for dev in self.devices]
+        )[self.df_dev_arr]
+        self.dram_df = np.array(
+            [dev.dram_bytes for dev in self.devices]
+        )[self.df_dev_arr]
+
+    def gate(self, i_scale, i_rows, i_cols, s_mem, s_meta, s_fail,
+             s_friendly) -> _GridGate:
+        """Capacity verdicts per precision, and the SIMD widths and
+        imbalance keys each matrix's cells need.
+
+        ``simulate_spmv`` raises ``CapacityError`` *before* touching SIMD
+        utilisation or imbalance, so cells gated at every requested
+        precision must not trigger those (per-profile) measurements:
+        friendly, scoreable cells need their device's width; scoreable
+        cells need their imbalance key.  ``s_*`` are ``(n_inst,
+        len(format_names))`` stat columns.
+        """
+        mem_df_all = s_mem[:, self.df_fmt_arr]
+        meta_df_all = s_meta[:, self.df_fmt_arr]
+        i_scale_col = i_scale[:, None]
+        i_xy_base = (i_cols + i_rows)[:, None]
+        fmt_bytes_by_p: List[np.ndarray] = []
+        x_y_bytes_by_p: List[np.ndarray] = []
+        cap_fail_by_p: List[np.ndarray] = []
+        for prec in self.precisions:
+            value_bytes, _ = PRECISIONS[prec]
+            value_fraction = value_bytes / 8.0
+            fmt_value_bytes = (
+                (mem_df_all - meta_df_all) * i_scale_col * value_fraction
+            )
+            fmt_bytes = meta_df_all * i_scale_col + fmt_value_bytes
+            x_y_bytes = i_xy_base * value_bytes
+            fmt_bytes_by_p.append(fmt_bytes)
+            x_y_bytes_by_p.append(x_y_bytes)
+            cap_fail_by_p.append(
+                (fmt_bytes > self.cap_df)
+                | (fmt_bytes + x_y_bytes > self.dram_df)
+            )
+        ok_df = ~s_fail[:, self.df_fmt_arr]
+        # A cell is scoreable if its stats exist and at least one
+        # precision clears the capacity gate.
+        scoreable_df = ok_df & ~np.logical_and.reduce(cap_fail_by_p)
+        friendly_df = s_friendly[:, self.df_fmt_arr]
+        need_cells = friendly_df & scoreable_df
+        n_inst = len(i_scale)
+        need_w = np.zeros((n_inst, len(self.widths)), dtype=bool)
+        for k in range(len(self.widths)):
+            need_w[:, k] = need_cells[:, self.cell_w_pos == k].any(axis=1)
+        need_key = np.zeros((n_inst, len(self.keys)), dtype=bool)
+        for k in range(len(self.keys)):
+            need_key[:, k] = scoreable_df[:, self.df_key_idx == k].any(
+                axis=1
+            )
+        return _GridGate(fmt_bytes_by_p, x_y_bytes_by_p, cap_fail_by_p,
+                         friendly_df, need_w, need_key)
+
+
+def _stat_arrays(source, format_names: Sequence[str]):
+    """``(mem, meta, stored, pad, friendly, fail, reasons)``: the
+    ``(n_inst, n_fmt)`` stat arrays of ``source`` plus refusal messages
+    keyed by ``(instance, format)`` position."""
+    shape = (len(source), len(format_names))
+    s_mem = np.zeros(shape, dtype=np.int64)
+    s_meta = np.zeros(shape, dtype=np.int64)
+    s_stored = np.zeros(shape, dtype=np.int64)
+    s_pad = np.zeros(shape)
+    s_friendly = np.zeros(shape, dtype=bool)
+    s_fail = np.zeros(shape, dtype=bool)
+    fail_reason: Dict[Tuple[int, int], str] = {}
+    for g, name in enumerate(format_names):
+        (s_mem[:, g], s_meta[:, g], s_stored[:, g], s_pad[:, g],
+         s_friendly[:, g], s_fail[:, g],
+         reasons) = source.format_stats_columns(name)
+        for i, msg in reasons.items():
+            fail_reason[(i, g)] = msg
+    return s_mem, s_meta, s_stored, s_pad, s_friendly, s_fail, fail_reason
+
+
 def _score_grid(
     source,
     devices: Sequence[Device],
@@ -391,44 +559,19 @@ def _score_grid(
     """Score the grid for any matrix-axis ``source``.
 
     ``source`` follows the :class:`_InstanceSource` protocol; everything
-    below this line is matrix-representation agnostic, so the fused cold
-    path produces bit-identical cells by construction.
+    below this line is matrix-representation agnostic, so sweeps scored
+    from measurement records produce bit-identical cells by
+    construction.
     """
-    devices = list(devices)
-    precisions = tuple(precisions)
-    for prec in precisions:
-        if prec not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {prec!r}; available: "
-                f"{sorted(PRECISIONS)}"
-            )
-    fmt_lists = _device_formats(devices, formats)
-
-    # Global format table in first-seen order (also validates names).
-    fmt_index: Dict[str, int] = {}
-    for names in fmt_lists:
-        for name in names:
-            if name not in fmt_index:
-                get_format(name)  # raises KeyError for unknown formats
-                fmt_index[name] = len(fmt_index)
-    format_names = list(fmt_index)
-
+    plan = _GridPlan(devices, formats, precisions)
+    devices = plan.devices
+    precisions = plan.precisions
+    format_names = plan.format_names
+    df_dev, df_fmt = plan.df_dev, plan.df_fmt
+    df_dev_arr, df_fmt_arr = plan.df_dev_arr, plan.df_fmt_arr
+    device_slices = plan.device_slices
     n_inst, n_dev, n_fmt = len(source), len(devices), len(format_names)
-    n_prec = len(precisions)
-
-    # -- (device, format) cell skeleton: one block per (prec, instance) --
-    df_dev: List[int] = []
-    df_fmt: List[int] = []
-    device_slices: List[Tuple[int, int]] = []
-    for d, names in enumerate(fmt_lists):
-        lo = len(df_dev)
-        for name in names:
-            df_dev.append(d)
-            df_fmt.append(fmt_index[name])
-        device_slices.append((lo, len(df_dev)))
-    df_dev_arr = np.asarray(df_dev, dtype=np.int64)
-    df_fmt_arr = np.asarray(df_fmt, dtype=np.int64)
-    n_df = len(df_dev)
+    n_df = plan.n_df
 
     instance_names = source.names()
     device_names = [dev.name for dev in devices]
@@ -451,28 +594,14 @@ def _score_grid(
      i_noise_h) = source.scalar_arrays()
 
     # -- per-(instance, format) structural statistics ------------------
-    s_mem = np.zeros((n_inst, n_fmt), dtype=np.int64)
-    s_meta = np.zeros((n_inst, n_fmt), dtype=np.int64)
-    s_stored = np.zeros((n_inst, n_fmt), dtype=np.int64)
-    s_pad = np.zeros((n_inst, n_fmt))
-    s_friendly = np.zeros((n_inst, n_fmt), dtype=bool)
-    s_fail = np.zeros((n_inst, n_fmt), dtype=bool)
-    fail_reason: Dict[Tuple[int, int], str] = {}
-    used_fmt = sorted(set(df_fmt))
-    for g in used_fmt:
-        (s_mem[:, g], s_meta[:, g], s_stored[:, g], s_pad[:, g],
-         s_friendly[:, g], s_fail[:, g],
-         reasons) = source.format_stats_columns(format_names[g])
-        for i, msg in reasons.items():
-            fail_reason[(i, g)] = msg
+    (s_mem, s_meta, s_stored, s_pad, s_friendly, s_fail,
+     fail_reason) = _stat_arrays(source, format_names)
 
     # -- per-device parameter arrays (derived exactly as the scalar
     #    path computes them, so every denominator matches bit-for-bit) --
     d_llc_bytes = np.array([dev.llc_bytes for dev in devices])
     d_llc_bw = np.array([dev.llc_bw_gbs for dev in devices])
     d_dram_bw = np.array([dev.dram_bw_gbs for dev in devices])
-    d_dram_bytes = np.array([dev.dram_bytes for dev in devices])
-    d_matrix_cap = np.array([dev.matrix_capacity_bytes for dev in devices])
     d_bw_eff = np.array([dev.spmv_bw_efficiency for dev in devices])
     d_is_cpu = np.array([dev.is_cpu for dev in devices])
     d_is_gpu = np.array([dev.is_gpu for dev in devices])
@@ -502,8 +631,6 @@ def _score_grid(
     d_peak_denom = np.array(
         [dev.peak_gflops * 1e9 for dev in devices]
     )
-    d_width = np.array([dev.simd_width_dp for dev in devices],
-                       dtype=np.int64)
     d_inv_width = np.array(
         [1.0 / dev.simd_width_dp for dev in devices]
     )
@@ -512,89 +639,36 @@ def _score_grid(
     )
 
     # -- capacity gate, precomputed per precision ----------------------
-    # simulate_spmv raises CapacityError *before* touching SIMD
-    # utilisation or imbalance, so cells gated at every requested
-    # precision must not trigger those (possibly expensive, per-profile)
-    # measurements here either.
-    mem_df_all = s_mem[:, df_fmt_arr]
-    meta_df_all = s_meta[:, df_fmt_arr]
-    i_scale_col = i_scale[:, None]
-    i_xy_base = (i_cols + i_rows)[:, None]
-    d_cap_df = d_matrix_cap[df_dev_arr]
-    d_dram_df = d_dram_bytes[df_dev_arr]
-    fmt_bytes_by_p: List[np.ndarray] = []
-    x_y_bytes_by_p: List[np.ndarray] = []
-    cap_fail_by_p: List[np.ndarray] = []
-    for prec in precisions:
-        value_bytes, _ = PRECISIONS[prec]
-        value_fraction = value_bytes / 8.0
-        fmt_value_bytes = (
-            (mem_df_all - meta_df_all) * i_scale_col * value_fraction
-        )
-        fmt_bytes = meta_df_all * i_scale_col + fmt_value_bytes
-        x_y_bytes = i_xy_base * value_bytes
-        fmt_bytes_by_p.append(fmt_bytes)
-        x_y_bytes_by_p.append(x_y_bytes)
-        cap_fail_by_p.append(
-            (fmt_bytes > d_cap_df) | (fmt_bytes + x_y_bytes > d_dram_df)
-        )
-    ok_df = ~s_fail[:, df_fmt_arr]
-    # A cell is scoreable if its stats exist and at least one precision
-    # clears the capacity gate.
-    scoreable_df = ok_df & ~np.logical_and.reduce(cap_fail_by_p)
+    gate = plan.gate(i_scale, i_rows, i_cols, s_mem, s_meta, s_fail,
+                     s_friendly)
+    fmt_bytes_by_p = gate.fmt_bytes_by_p
+    x_y_bytes_by_p = gate.x_y_bytes_by_p
+    cap_fail_by_p = gate.cap_fail_by_p
 
     # -- per-(instance, device-format) SIMD utilisation ----------------
     # simulate_spmv: friendly formats use max(simd_utilisation(width),
-    # 1/width); unfriendly ones 1/width.  Compute the memoised
-    # utilisation only for widths some friendly, scoreable cell needs.
-    widths = sorted(set(int(w) for w in d_width))
-    width_pos = {w: k for k, w in enumerate(widths)}
-    util_tab = np.zeros((n_inst, len(widths)))
-    friendly_df = s_friendly[:, df_fmt_arr]          # (n_inst, n_df)
-    need_w = np.zeros((n_inst, len(widths)), dtype=bool)
-    dev_w_pos = np.array([width_pos[int(w)] for w in d_width])
-    cell_w_pos = dev_w_pos[df_dev_arr]               # (n_df,)
-    need_cells = friendly_df & scoreable_df
-    for k in range(len(widths)):
-        need_w[:, k] = need_cells[:, cell_w_pos == k].any(axis=1)
+    # 1/width); unfriendly ones 1/width.  Only the widths some friendly,
+    # scoreable cell needs are requested from the source.
+    util_tab = np.zeros((n_inst, len(plan.widths)))
     for i in range(n_inst):
-        for w, k in width_pos.items():
-            if need_w[i, k]:
+        for k, w in enumerate(plan.widths):
+            if gate.need_w[i, k]:
                 util_tab[i, k] = source.simd_utilisation(i, w)
-    util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
+    util_df = util_tab[:, plan.cell_w_pos]           # (n_inst, n_df)
     inv_w_df = d_inv_width[df_dev_arr]
     simd_util_df = np.where(
-        friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
+        gate.friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
     )
 
     # -- per-(instance, device-format) imbalance factors ---------------
-    fmt_strategy = [
-        getattr(get_format(name), "partition_strategy", "row_block")
-        for name in format_names
-    ]
-    # Deduplicate the (strategy, n_workers, simd_width) keys the cells
-    # need; the instance-level memo makes repeats dictionary hits.
-    df_keys: List[Tuple[str, int, int]] = []
-    key_pos: Dict[Tuple[str, int, int], int] = {}
-    df_key_idx = np.empty(n_df, dtype=np.int64)
-    for j in range(n_df):
-        dev = devices[df_dev[j]]
-        key = (fmt_strategy[df_fmt[j]], dev.n_workers, dev.simd_width_dp)
-        if key not in key_pos:
-            key_pos[key] = len(df_keys)
-            df_keys.append(key)
-        df_key_idx[j] = key_pos[key]
-    imb_tab = np.ones((n_inst, len(df_keys)))
-    need_key = np.zeros((n_inst, len(df_keys)), dtype=bool)
-    for k in range(len(df_keys)):
-        need_key[:, k] = scoreable_df[:, df_key_idx == k].any(axis=1)
+    imb_tab = np.ones((n_inst, len(plan.keys)))
     for i in range(n_inst):
-        for k, (strategy, workers, width) in enumerate(df_keys):
-            if need_key[i, k]:
+        for k, (strategy, workers, width) in enumerate(plan.keys):
+            if gate.need_key[i, k]:
                 imb_tab[i, k] = source.imbalance_factor(
                     i, strategy, workers, width
                 )
-    imb_df = imb_tab[:, df_key_idx]                  # (n_inst, n_df)
+    imb_df = imb_tab[:, plan.df_key_idx]             # (n_inst, n_df)
 
     # -- broadcast blocks ----------------------------------------------
     # Shapes: per-instance (n_inst, 1), per-cell (n_df,) -> (n_inst, n_df)

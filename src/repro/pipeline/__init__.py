@@ -5,17 +5,18 @@ bench and the CLI run: :func:`run_sweep` partitions specs into chunks,
 executes them serially or across a self-healing worker crew (per-chunk
 deadlines, capped-backoff retries, pool-death detection, in-process
 degradation), and merges results deterministically;
-:class:`InstanceCache` content-keys each
-:class:`~repro.core.generator.MatrixSpec` and persists materialised
-instances (CSR arrays, features, row profiles, per-format statistics)
-so warm sweeps skip generation entirely — quarantining, never trusting,
-corrupt entries.  :class:`RunJournal` makes long sweeps resumable
-(``repro sweep --resume``), :class:`FaultPlan` injects deterministic
-chaos for the resilience suites, and :class:`RunReport` accounts every
-incident for ``repro sweep --health-json``.
+:class:`RecordCache` content-keys each
+:class:`~repro.core.generator.MatrixSpec` and persists its measurement
+record (features, per-format statistics, SIMD utilisation, imbalance)
+in one append-only pack so warm sweeps skip generation entirely —
+quarantining, never trusting, corrupt records.  :class:`RunJournal`
+makes long sweeps resumable (``repro sweep --resume``),
+:class:`FaultPlan` injects deterministic chaos for the resilience
+suites, and :class:`RunReport` accounts every incident for
+``repro sweep --health-json``.
 """
 
-from .cache import CACHE_VERSION, InstanceCache, spec_key
+from .cache import CACHE_VERSION, RecordCache, spec_key
 from .engine import resolve_jobs, run_sweep
 from .faults import Fault, FaultPlan, InjectedFaultError, corrupt_file
 from .journal import RunJournal, sweep_config
@@ -30,7 +31,7 @@ from .report import (
 
 __all__ = [
     "CACHE_VERSION",
-    "InstanceCache",
+    "RecordCache",
     "spec_key",
     "resolve_jobs",
     "run_sweep",

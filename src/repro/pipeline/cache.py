@@ -1,75 +1,55 @@
-"""Persistent + in-memory caching of materialised matrix instances.
+"""The sweep's persistent record cache: one append-only pack per directory.
 
-Dataset-scale sweeps spend nearly all of their time materialising
-:class:`~repro.perfmodel.instance.MatrixInstance` objects: generating the
-representative matrix, extracting features, regenerating the declared-scale
-row profile and converting to every storage format.  All of that is a pure
-function of the :class:`~repro.core.generator.MatrixSpec` (plus the
-``max_nnz`` representative cap), so it is content-addressed here:
+A sweep's expensive work per spec — generating the representative
+structure, extracting features, regenerating the declared-scale row
+profile, format statistics, SIMD utilisation and imbalance — ends in one
+:class:`~repro.perfmodel.record.SpecRecord`, a pure function of the
+:class:`~repro.core.generator.MatrixSpec`, the ``max_nnz`` cap and the
+measurement keys the swept devices need.  ``--cache-dir D`` keeps those
+records, and nothing else, in ``D/records.rpak``:
 
 * :func:`spec_key` — a stable hash of the spec's fields.  Everything that
-  influences the generated structure is part of the key; dataset names and
-  spec indices are not (they only label rows).
-* :class:`InstanceCache` — a layered store.  The first level is an
-  in-process dictionary (shared by every :class:`~repro.core.dataset.Dataset`
-  holding the cache).  The second level is the directory of
-  ``<key>.npz`` + ``<key>.json`` pairs holding the CSR arrays / row profile
-  and the derived statistics (features, per-format stats and refusals,
-  SIMD-utilisation and imbalance memos).  Files are written atomically
-  (temp file + ``os.replace``) so concurrent sweep workers can share one
-  cache directory without locking.  The third level is an optional
-  single-file *pack* (``cache.rpak``, see :mod:`repro.io.pack`): when the
-  directory holds one, entries missing from the directory are served
-  straight out of the pack — one mapped file, dict lookups, no per-key
-  probing — which is how a corpus packed with ``repro pack`` ships as a
-  single object.  Loose pairs always win over the pack (they are never
-  older: the pack is a snapshot, later stores write pairs), and stores
-  keep writing pairs, so the pack needs no write locking.
+  influences the generated structure is part of the key; dataset names
+  and spec indices are not (they only label rows and seed the noise,
+  which is recomputed at score time).
+* :class:`RecordCache` — loads a chunk's records in one pack open and
+  appends new ones with the pack's two-phase append
+  (:func:`repro.io.pack.append_entries`), serialised across processes by
+  an exclusive ``flock``.  A record that gains keys (a new device set) is
+  appended again; the last record wins.  The sweep engine appends only
+  from the parent process.
 
-Corrupt entries — loose pairs, pack entries, or the pack file itself —
-are *quarantined*, never deleted: the evidence moves (or is copied) into
-``quarantine/`` under an atomically reserved name, the incident is
-counted, and the entry is simply rematerialised.
+Corruption is *quarantined*, never trusted and never deleted: a record
+whose checksum or JSON fails has its raw bytes copied into
+``quarantine/`` (the pack is shared, so it stays) and is recomputed and
+re-appended; a pack whose header or entry table fails is moved there
+wholesale.  Each incident is counted for ``RunReport.cache_quarantined``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
-import tempfile
-import zipfile
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
-from ..core.features import Features
 from ..core.generator import MatrixSpec
-from ..core.matrix import CSRMatrix
-from ..devices.parallel import ImbalanceStats
-from ..formats.base import FormatStats
-from ..io.pack import Pack, PackError, PackWriter
-from ..perfmodel.instance import MatrixInstance
+from ..io.pack import Pack, PackError, append_entries
+from ..perfmodel.record import SpecRecord
 
-__all__ = [
-    "spec_key", "InstanceCache", "CACHE_VERSION", "PACK_NAME",
-    "pack_cache_dir", "unpack_cache",
-]
+__all__ = ["spec_key", "RecordCache", "CACHE_VERSION", "PACK_NAME",
+           "RECORD_KIND"]
 
-# Bump when the generator or the cached payload layout changes behaviour:
-# the key changes, so stale entries are simply never looked up again.
-# v2: format stats are produced by the analytic stats-only engine
-# (`SparseFormat.stats_from_csr`).  Entries are value-identical to v1
-# (the agreement suite proves it), but the version field in the JSON
-# sidecar should record which engine filled them, so pre-existing cache
-# dirs are invalidated cleanly rather than silently mixed.
-CACHE_VERSION = 2
+# Bump when the generator or the record layout changes behaviour: the
+# key changes, so stale records are simply never looked up again.
+# v3: per-spec measurement records replace cached matrix instances.
+CACHE_VERSION = 3
 
-# The single-file pack a cache directory may carry (``repro pack``).
-PACK_NAME = "cache.rpak"
+# The single pack a cache directory holds, and its entries' kind.
+PACK_NAME = "records.rpak"
+RECORD_KIND = "record"
 
 
 def spec_key(spec: MatrixSpec, max_nnz: int) -> str:
@@ -87,99 +67,23 @@ def spec_key(spec: MatrixSpec, max_nnz: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
 
-def _to_py(obj):
-    """JSON fallback for NumPy scalars."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    raise TypeError(f"not JSON-serialisable: {type(obj)!r}")
+class RecordCache:
+    """Spec records of one cache directory (``<root>/records.rpak``)."""
 
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _clone_with_name(inst: MatrixInstance, name: str) -> MatrixInstance:
-    """A renamed wrapper sharing the instance's (immutable-in-practice)
-    matrix and derived-state containers.
-
-    Names label sweep rows and seed the measurement noise, so a cache hit
-    must never rename an instance another dataset still holds; the shared
-    dictionaries mean derived statistics computed through either wrapper
-    keep enriching the same cache entry.
-    """
-    clone = MatrixInstance(matrix=inst.matrix, spec=inst.spec, name=name)
-    clone.stats_engine = inst.stats_engine
-    clone._features = inst._features
-    clone._profile = inst._profile
-    clone._format_stats = inst._format_stats
-    clone._format_fail = inst._format_fail
-    clone._simd_util = inst._simd_util
-    clone._imbalance = inst._imbalance
-    return clone
-
-
-def _json_signature(inst: MatrixInstance) -> tuple:
-    """What derived state the JSON sidecar would carry (for dirtiness)."""
-    return (
-        inst._features is not None,
-        frozenset(inst._format_stats),
-        frozenset(inst._format_fail),
-        frozenset(inst._simd_util),
-        frozenset(inst._imbalance),
-    )
-
-
-class InstanceCache:
-    """Layered (memory + directory + pack) cache of instances."""
-
-    def __init__(self, root, keep_in_memory: bool = True):
+    def __init__(self, root):
         self.root = Path(root)
         if self.root.exists() and not self.root.is_dir():
             raise NotADirectoryError(
                 f"cache path {self.root} exists and is not a directory"
             )
         self.root.mkdir(parents=True, exist_ok=True)
-        self.keep_in_memory = keep_in_memory
-        self._mem: Dict[str, MatrixInstance] = {}
-        self._disk_json_sig: Dict[str, tuple] = {}
-        # Whether the on-disk NPZ is known to carry a row profile (the CSR
-        # arrays themselves are content-keyed, so they never change).
-        self._disk_npz_profile: Dict[str, bool] = {}
-        # Complete-entry census (lazy; maintained by store/quarantine).
-        self._census: Optional[Set[str]] = None
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.hits_pack = 0
+        self.hits = 0
         self.misses = 0
-        # Corrupt entries detected by this handle (moved, not deleted);
-        # the sweep RunReport aggregates these counts across workers.
+        # Corrupt records or packs this handle found (copied or moved,
+        # not deleted); the sweep RunReport sums them across workers.
         self.quarantined = 0
-        # Pack entries this handle found corrupt (never re-read).
-        self._pack_bad: Set[str] = set()
-        self._pack: Optional[Pack] = None
-        if self.pack_path.exists():
-            self._open_pack()
-
-    # -- paths -----------------------------------------------------------
-    def _npz_path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    def _json_path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        # Keys whose live record this handle found corrupt.
+        self._bad: Set[str] = set()
 
     @property
     def pack_path(self) -> Path:
@@ -189,159 +93,94 @@ class InstanceCache:
     def quarantine_dir(self) -> Path:
         return self.root / "quarantine"
 
-    def _open_pack(self) -> None:
-        """Open ``cache.rpak``; a pack that fails validation (bad magic,
-        truncation, checksum, version drift) is quarantined — moved, not
-        deleted — and the cache continues on the directory layout."""
+    def _open(self) -> Optional[Pack]:
+        """The pack, or ``None`` when there is none yet or it failed
+        validation (then it is quarantined).  An empty file is a first
+        append that has not written its header yet: no pack, not
+        corruption."""
         try:
-            self._pack = Pack.open(self.pack_path)
+            if self.pack_path.stat().st_size == 0:
+                return None
+            return Pack.open(self.pack_path)
+        except FileNotFoundError:
+            return None
         except PackError:
-            self._pack = None
+            try:
+                if self.pack_path.stat().st_size == 0:
+                    return None
+            except FileNotFoundError:
+                return None
             self._quarantine(self.pack_path)
+            return None
 
-    # -- fetch -----------------------------------------------------------
-    def fetch(
-        self, spec: MatrixSpec, max_nnz: int, name: str = ""
-    ) -> Optional[MatrixInstance]:
-        """Cached instance for ``spec``, or ``None`` on a miss.
+    # -- reads -----------------------------------------------------------
+    def load(self, keys: Sequence[str]) -> List[Optional[SpecRecord]]:
+        """The live record of each key, ``None`` for a miss.
 
-        ``name`` is applied to the returned instance (names label sweep
-        rows and seed the measurement noise, so they must match what a
-        fresh materialisation would have used).
+        A record that fails its checksum or does not parse is a miss:
+        its raw bytes are copied into ``quarantine/`` as evidence and
+        the key is remembered as bad until a fresh record supersedes it.
         """
-        key = spec_key(spec, max_nnz)
-        inst = self._mem.get(key)
-        if inst is not None:
-            self.hits_memory += 1
-            if inst.name != name:
-                inst = _clone_with_name(inst, name)
-            return inst
-        inst = self._load_disk(key, spec, name)
-        if inst is not None:
-            self.hits_disk += 1
-            self._remember(key, inst)
-            return inst
-        inst = self._load_pack(key, spec, name)
-        if inst is not None:
-            self.hits_pack += 1
-            self._remember(key, inst)
-            return inst
-        self.misses += 1
-        return None
+        out: List[Optional[SpecRecord]] = [None] * len(keys)
+        pack = self._open()
+        if pack is not None:
+            with pack:
+                for i, key in enumerate(keys):
+                    if key in pack and key not in self._bad:
+                        out[i] = self._read(pack, key)
+        found = sum(r is not None for r in out)
+        self.hits += found
+        self.misses += len(keys) - found
+        return out
 
-    def _remember(self, key: str, inst: MatrixInstance) -> None:
-        if self.keep_in_memory:
-            self._mem[key] = inst
-        self._disk_json_sig[key] = _json_signature(inst)
-        self._disk_npz_profile[key] = inst._profile is not None
-
-    def _load_disk(
-        self, key: str, spec: MatrixSpec, name: str
-    ) -> Optional[MatrixInstance]:
-        npz_path, json_path = self._npz_path(key), self._json_path(key)
-        if not (npz_path.exists() and json_path.exists()):
-            return None
+    def _read(self, pack: Pack, key: str) -> Optional[SpecRecord]:
         try:
-            with np.load(npz_path) as npz:
-                matrix, profile = self._parse_arrays(npz)
-            meta = json.loads(json_path.read_text())
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # Partial/corrupt entry: treat as a miss and quarantine both
-            # halves (the pair is only valid together) so the evidence
-            # survives for inspection and the next store() rewrites the
-            # entry cleanly.
-            self._quarantine(npz_path, json_path)
+            record = SpecRecord.from_bytes(pack.read(key))
+        except (PackError, ValueError):
+            self._bad.add(key)
+            try:
+                evidence = bytes(pack.read(key, verify=False))
+            except (PackError, OSError):
+                evidence = b""
+            self._quarantine_bytes(f"{key}.json", evidence)
             return None
-        return self._build(matrix, profile, meta, spec, name)
+        return record
 
-    def _load_pack(
-        self, key: str, spec: MatrixSpec, name: str
-    ) -> Optional[MatrixInstance]:
-        """Entry served out of the single-file pack (one dict lookup per
-        half, zero directory probing).
+    def __len__(self) -> int:
+        """Live records this handle has not found corrupt (one read of
+        the pack's entry table; no directory scan)."""
+        pack = self._open()
+        if pack is None:
+            return 0
+        with pack:
+            return len(set(pack.keys()) - self._bad)
 
-        A pack entry that fails its checksum or does not parse is
-        quarantined as evidence — its raw bytes are *copied* out into
-        ``quarantine/`` (the pack itself is shared and read-only) — and
-        the key is remembered as bad so it is never re-read.
-        """
-        pack = self._pack
-        if pack is None or key in self._pack_bad:
-            return None
-        npz_key, json_key = f"{key}.npz", f"{key}.json"
-        if npz_key not in pack or json_key not in pack:
-            return None
+    # -- writes ----------------------------------------------------------
+    def append(self, records: Dict[str, SpecRecord]) -> int:
+        """Append ``records`` (key → record); returns how many were
+        written.  A key whose live record is byte-identical and intact is
+        skipped, so re-appending after a retried chunk costs nothing.
+        A corrupt pack is quarantined and the append starts a new one."""
+        if not records:
+            return 0
+        items = [(key, RECORD_KIND, records[key].to_bytes())
+                 for key in sorted(records)]
         try:
-            # BytesIO accepts the zero-copy memoryview directly (one
-            # copy into its buffer instead of two through bytes()).
-            with np.load(io.BytesIO(pack.read(npz_key))) as npz:
-                matrix, profile = self._parse_arrays(npz)
-            meta = json.loads(bytes(pack.read(json_key)))
-        except (PackError, OSError, ValueError, KeyError,
-                zipfile.BadZipFile):
-            self._pack_bad.add(key)
-            evidence = []
-            for entry_key in (npz_key, json_key):
-                try:
-                    evidence.append(
-                        (entry_key,
-                         bytes(pack.read(entry_key, verify=False)))
-                    )
-                except (PackError, KeyError, OSError):
-                    continue
-            self._quarantine_bytes(evidence)
-            return None
-        return self._build(matrix, profile, meta, spec, name)
-
-    @staticmethod
-    def _parse_arrays(npz) -> Tuple[CSRMatrix, Optional[np.ndarray]]:
-        matrix = CSRMatrix(
-            int(npz["n_rows"]),
-            int(npz["n_cols"]),
-            npz["indptr"],
-            npz["indices"],
-            npz["data"],
-        )
-        profile = (
-            npz["profile"].astype(np.int64)
-            if "profile" in npz.files
-            else None
-        )
-        return matrix, profile
-
-    @staticmethod
-    def _build(matrix, profile, meta, spec, name) -> MatrixInstance:
-        inst = MatrixInstance(matrix=matrix, spec=spec, name=name)
-        if meta.get("features") is not None:
-            inst._features = Features(**meta["features"])
-        if profile is not None:
-            inst._profile = profile
-        inst._format_stats = {
-            fmt: FormatStats(**d)
-            for fmt, d in meta.get("format_stats", {}).items()
-        }
-        inst._format_fail = dict(meta.get("format_fail", {}))
-        inst._simd_util = {
-            int(w): float(v)
-            for w, v in meta.get("simd_util", {}).items()
-        }
-        inst._imbalance = {}
-        for enc, d in meta.get("imbalance", {}).items():
-            strategy, workers, width = enc.rsplit("|", 2)
-            inst._imbalance[(strategy, int(workers), int(width))] = (
-                ImbalanceStats(**d)
-            )
-        return inst
+            added = append_entries(self.pack_path, items)
+        except PackError:
+            self._quarantine(self.pack_path)
+            added = append_entries(self.pack_path, items)
+        self._bad.difference_update(records)
+        return added
 
     # -- quarantine ------------------------------------------------------
     def _reserve_quarantine_name(self, name: str) -> Optional[Path]:
         """Atomically reserve ``quarantine/<name>[.N]``.
 
         ``O_CREAT | O_EXCL`` makes the reservation itself the race
-        arbiter: two workers quarantining same-named evidence at the
-        same instant get *different* suffixes, where the old
-        ``while target.exists()`` probe let both pick the same ``.N``
-        and silently clobber one worker's evidence.
+        arbiter: two processes quarantining same-named evidence at the
+        same instant get *different* suffixes instead of clobbering one
+        another's evidence.
         """
         suffix = 0
         while True:
@@ -360,255 +199,44 @@ class InstanceCache:
             os.close(fd)
             return target
 
-    def _quarantine(self, *paths: Path) -> None:
-        """Move a corrupt entry's files into ``quarantine/`` and count
-        the incident.
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt file into ``quarantine/`` and count it.
 
         The name is reserved exclusively first, then ``os.replace``
-        (atomic on the same filesystem) moves the evidence over the
-        reservation.  Concurrent workers race benignly: whoever moves a
-        source first wins, the loser's missing-source ``OSError`` is
-        tolerated.  A vanished quarantine directory or a cross-device
-        link error must not take the sweep down either — detection is
-        counted even if the move itself fails.
+        (atomic on one filesystem) moves the evidence over the
+        reservation.  Concurrent processes race benignly: whoever moves
+        the file first wins, the loser's missing-source error is
+        tolerated — detection is counted even if the move fails.
         """
         self.quarantined += 1
         try:
             self.quarantine_dir.mkdir(exist_ok=True)
         except OSError:
             return
-        for path in paths:
-            if not path.exists():
-                continue
-            target = self._reserve_quarantine_name(path.name)
-            if target is None:
-                continue
+        if not path.exists():
+            return
+        target = self._reserve_quarantine_name(path.name)
+        if target is None:
+            return
+        try:
+            os.replace(path, target)
+        except OSError:
             try:
-                os.replace(path, target)
+                os.unlink(target)  # release the unused reservation
             except OSError:
-                try:
-                    os.unlink(target)  # release the unused reservation
-                except OSError:
-                    pass
-            else:
-                self._forget_census(path.name)
+                pass
 
-    def _quarantine_bytes(self, evidence) -> None:
-        """Copy corrupt pack-entry bytes into ``quarantine/`` — one
-        counted incident per entry pair (the pack is shared and
-        read-only, so evidence is copied, not moved)."""
+    def _quarantine_bytes(self, name: str, payload: bytes) -> None:
+        """Copy a corrupt record's raw bytes into ``quarantine/`` and
+        count it (the pack is shared, so the evidence is copied)."""
         self.quarantined += 1
         try:
             self.quarantine_dir.mkdir(exist_ok=True)
         except OSError:
             return
-        for name, payload in evidence:
-            target = self._reserve_quarantine_name(name)
-            if target is None:
-                continue
+        target = self._reserve_quarantine_name(name)
+        if target is not None:
             try:
                 target.write_bytes(payload)
             except OSError:
                 pass
-            self._forget_census(name)
-
-    def _forget_census(self, file_name: str) -> None:
-        if self._census is None:
-            return
-        stem = file_name.rsplit(".", 1)[0]
-        for suffix in (".npz", ".json"):
-            if file_name.endswith(suffix):
-                stem = file_name[: -len(suffix)]
-        self._census.discard(stem)
-
-    # -- store -----------------------------------------------------------
-    def store(
-        self, spec: MatrixSpec, max_nnz: int, inst: MatrixInstance
-    ) -> bool:
-        """Persist ``inst`` (skipping whatever the on-disk entry already
-        carries).  Returns ``True`` when any write happened.
-
-        The NPZ (CSR arrays + profile) and the JSON sidecar (derived
-        statistics) are tracked separately: the arrays are fixed by the
-        content key, so adding e.g. one more imbalance memo only rewrites
-        the small JSON file, never the multi-MB matrix payload.  Entries
-        already served by the pack are not duplicated into the
-        directory unless they gained state the pack lacks (the pack is
-        read-only; loose pairs shadow it on fetch).
-        """
-        key = spec_key(spec, max_nnz)
-        if self.keep_in_memory:
-            self._mem[key] = inst
-
-        wrote = False
-        have_profile = inst._profile is not None
-        npz_path = self._npz_path(key)
-        pack_has_npz = (
-            self._pack is not None
-            and f"{key}.npz" in self._pack
-            and key not in self._pack_bad
-        )
-        need_npz = (
-            not (npz_path.exists() or pack_has_npz)
-            or (have_profile
-                and self._disk_npz_profile.get(key) is not True)
-        )
-        if need_npz:
-            arrays = {
-                "n_rows": np.int64(inst.matrix.n_rows),
-                "n_cols": np.int64(inst.matrix.n_cols),
-                "indptr": inst.matrix.indptr,
-                "indices": inst.matrix.indices,
-                "data": inst.matrix.data,
-            }
-            if have_profile:
-                arrays["profile"] = inst._profile
-            buf = io.BytesIO()
-            np.savez(buf, **arrays)
-            _atomic_write_bytes(npz_path, buf.getvalue())
-            self._disk_npz_profile[key] = have_profile
-            wrote = True
-
-        sig = _json_signature(inst)
-        if self._disk_json_sig.get(key) == sig:
-            if wrote and self._census is not None:
-                self._census.add(key)
-            return wrote
-
-        meta = {
-            "version": CACHE_VERSION,
-            "features": (
-                inst._features.to_dict()
-                if inst._features is not None
-                else None
-            ),
-            "format_stats": {
-                fmt: dataclasses.asdict(st)
-                for fmt, st in inst._format_stats.items()
-            },
-            "format_fail": inst._format_fail,
-            "simd_util": {
-                str(w): v for w, v in inst._simd_util.items()
-            },
-            "imbalance": {
-                f"{s}|{w}|{sw}": dataclasses.asdict(st)
-                for (s, w, sw), st in inst._imbalance.items()
-            },
-        }
-        _atomic_write_bytes(
-            self._json_path(key),
-            json.dumps(meta, default=_to_py).encode(),
-        )
-        self._disk_json_sig[key] = sig
-        if self._census is not None:
-            self._census.add(key)
-        return True
-
-    # -- maintenance -----------------------------------------------------
-    def drop_memory(self) -> None:
-        """Release the in-process layer (disk entries stay)."""
-        self._mem.clear()
-
-    def _complete_keys(self) -> Set[str]:
-        """Content keys with both halves present (directory or pack)."""
-        complete = _complete_keys_static(self.root)
-        if self._pack is not None:
-            pack_keys = set(self._pack.keys())
-            complete |= {
-                k[:-4] for k in pack_keys
-                if k.endswith(".npz")
-                and f"{k[:-4]}.json" in pack_keys
-                and k[:-4] not in self._pack_bad
-            }
-        return complete
-
-    def __len__(self) -> int:
-        """Complete entries visible to this handle.
-
-        Counts only ``.npz``+``.json`` *pairs* (an orphaned half —
-        e.g. a crash between the two atomic writes — is not a usable
-        entry) plus packed entries.  The census is one directory scan,
-        taken lazily and then maintained by ``store``/quarantine, so
-        repeated calls cost O(1) instead of re-listing the directory.
-        """
-        if self._census is None:
-            self._census = self._complete_keys()
-        return len(self._census)
-
-
-# -- pack conversion ---------------------------------------------------------
-def pack_cache_dir(
-    root, out=None, prune: bool = False
-) -> Tuple[int, Path]:
-    """Fold a cache directory's complete entry pairs into a single-file
-    pack (default ``<root>/cache.rpak``); returns ``(entries, path)``.
-
-    File bytes are stored verbatim (NPZ raw, JSON deflated), so
-    :func:`unpack_cache` reproduces the original files byte-identically.
-    With ``prune``, the loose pairs are removed *after* the sealed pack
-    has been re-opened and every entry's checksum re-verified against
-    it — the pack then serves the whole corpus by itself.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise ValueError(
-            f"{root} is not a cache directory; point `repro pack` at a "
-            "--cache-dir previously filled by `repro sweep`"
-        )
-    out = Path(out) if out is not None else root / PACK_NAME
-    keys = sorted(_complete_keys_static(root))
-    with PackWriter.create(out) as writer:
-        for key in keys:
-            writer.add(
-                f"{key}.npz", "npz",
-                (root / f"{key}.npz").read_bytes(),
-            )
-            writer.add(
-                f"{key}.json", "json",
-                (root / f"{key}.json").read_bytes(),
-                compress=True,
-            )
-    if prune:
-        with Pack.open(out) as pack:
-            for key in keys:
-                pack.read(f"{key}.npz")   # checksum re-verified
-                pack.read(f"{key}.json")
-        for key in keys:
-            for path in (root / f"{key}.npz", root / f"{key}.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-    return len(keys), out
-
-
-def _complete_keys_static(root: Path) -> Set[str]:
-    npz_stems: Set[str] = set()
-    json_stems: Set[str] = set()
-    with os.scandir(root) as it:
-        for entry in it:
-            name = entry.name
-            if name.endswith(".npz"):
-                npz_stems.add(name[:-4])
-            elif name.endswith(".json"):
-                json_stems.add(name[:-5])
-    return npz_stems & json_stems
-
-
-def unpack_cache(pack_path, out_dir) -> int:
-    """Write every ``npz``/``json`` entry of a pack back out as loose
-    files (byte-identical to what :func:`pack_cache_dir` read); returns
-    the number of files written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-    with Pack.open(pack_path) as pack:
-        for key in pack.keys():
-            entry = pack.entry(key)
-            if entry.kind not in ("npz", "json"):
-                continue
-            _atomic_write_bytes(
-                out_dir / key, bytes(pack.read(key))
-            )
-            written += 1
-    return written

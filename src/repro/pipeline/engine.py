@@ -35,11 +35,13 @@ deterministic :class:`~repro.pipeline.faults.FaultPlan` (also via the
 filled with retries, timeouts, degraded chunks, quarantined cache
 entries and per-phase wall-clock.
 
-Workers share one :class:`~repro.pipeline.cache.InstanceCache`
-directory; entries are content-keyed and written atomically, so the
-only cost of a cache race is a redundant materialisation, never a
-corrupt entry — and a corrupt entry found on disk is quarantined and
-rematerialised, never trusted.
+Every chunk takes one path: specs → structure batch → one measurement
+record per spec (:mod:`repro.perfmodel.record`) → grid scoring.  With a
+cache directory, workers read records from the shared
+:class:`~repro.pipeline.cache.RecordCache` pack, ship the records they
+had to build back with their chunk tables, and the parent alone appends
+them — a corrupt record found on disk is quarantined and rebuilt, never
+trusted.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as _conn_wait
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.dataset import (
-    Dataset, SweepTable, fused_spec_table, grid_spec_table, spec_rows,
-)
+from ..core.dataset import Dataset, SweepTable, records_table
 from ..devices.base import Device
-from .cache import InstanceCache
+from ..perfmodel.batch import _GridPlan
+from ..perfmodel.record import SpecRecord, chunk_records
+from .cache import RecordCache, spec_key
 from .faults import FaultPlan
 from .journal import RunJournal, sweep_config
 from .report import ChunkFailedError, RunReport
@@ -67,9 +69,9 @@ __all__ = ["run_sweep", "resolve_jobs"]
 # large enough to amortise task dispatch.
 _CHUNKS_PER_JOB = 4
 
-# Serial chunk size: specs scored per vectorised grid evaluation when
-# ``jobs == 1`` — large enough to amortise the batch setup, small enough
-# for responsive progress reporting.
+# Specs per structure batch and grid evaluation — large enough to
+# amortise the batch setup, small enough for responsive progress
+# reporting.
 _SERIAL_CHUNK = 16
 
 # Resilient dispatch policy defaults.  Retries are per chunk, across all
@@ -111,6 +113,9 @@ def _chunk_bounds(n: int, n_chunks: int) -> List[tuple]:
     return bounds
 
 
+Records = Dict[str, SpecRecord]
+
+
 def _sweep_range(
     dataset: Dataset,
     lo: int,
@@ -119,62 +124,30 @@ def _sweep_range(
     best_only: bool,
     formats,
     seed: int,
-    cache: Optional[InstanceCache],
-    batch: bool = True,
-    precision: str = "fp64",
-    fused: bool = False,
-) -> SweepTable:
-    """Columnar chunk table for specs ``lo..hi`` with cache write-back.
+    precision: str,
+    cache: Optional[RecordCache],
+) -> Tuple[SweepTable, Records]:
+    """Columnar table for specs ``lo..hi`` plus the records it built.
 
-    With ``batch`` (the default) the chunk is scored in one vectorised
-    :func:`~repro.perfmodel.batch.simulate_grid` pass and the columns
-    are gathered straight from the grid arrays; the scalar loop stays
-    available as the reference engine (``batch=False``), its dict rows
-    lifted into the same table schema.  ``fused`` (batch only) skips
-    instances entirely — specs go straight to structure arrays and
-    batched analytic stats, and the instance cache is neither read nor
-    written (there is nothing materialised to persist).  All engines
-    produce identical tables — the grid and fused agreement suites
-    enforce it.
+    Cached records that cover every cell are reused; the others are
+    built from a structure batch of just those specs and returned
+    (keyed by :func:`spec_key`) for the parent to append.
     """
-    if fused:
-        return fused_spec_table(
-            dataset, lo, hi, devices,
-            best_only=best_only, formats=formats, seed=seed,
-            precision=precision,
-        )
-    if batch:
-        # Materialise the chunk once; scoring and cache write-back reuse
-        # these exact objects (a second dataset.instance() round-trip
-        # used to re-consult the cache layer per spec).
-        insts = [dataset.instance(i) for i in range(lo, hi)]
-        table = grid_spec_table(
-            dataset, lo, hi, devices,
-            best_only=best_only, formats=formats, seed=seed,
-            precision=precision, instances=insts,
-        )
-        if cache is not None:
-            # Store after scoring so the persisted entries carry the
-            # derived state (features, profiles, format stats) the grid
-            # evaluation just computed — warm sweeps reload it all.
-            for i, inst in zip(range(lo, hi), insts):
-                cache.store(dataset.specs[i], dataset.max_nnz, inst)
-        return table
-    rows: List[dict] = []
-    for i in range(lo, hi):
-        rows.extend(
-            spec_rows(
-                dataset, i, devices,
-                best_only=best_only, formats=formats, seed=seed,
-                precision=precision,
-            )
-        )
-        if cache is not None:
-            cache.store(dataset.specs[i], dataset.max_nnz,
-                        dataset.instance(i))
-    if not rows:
-        return SweepTable({})
-    return SweepTable.from_rows(rows).with_constant("precision", precision)
+    specs = dataset.specs[lo:hi]
+    keys: List[str] = []
+    prior: List[Optional[SpecRecord]] = [None] * len(specs)
+    if cache is not None:
+        keys = [spec_key(spec, dataset.max_nnz) for spec in specs]
+        prior = cache.load(keys)
+    plan = _GridPlan(devices, formats, (precision,))
+    records, fresh = chunk_records(specs, dataset.max_nnz, plan, prior)
+    table = records_table(
+        dataset, lo, hi, records, devices,
+        best_only=best_only, formats=formats, seed=seed,
+        precision=precision,
+    )
+    built = {keys[i]: records[i] for i in fresh} if keys else {}
+    return table, built
 
 
 def _chunk_table(
@@ -185,31 +158,30 @@ def _chunk_table(
     best_only,
     formats,
     seed,
-    cache,
-    batch,
     precision,
-    fused,
+    cache,
     progress_put: Optional[Callable[[int], None]] = None,
-) -> SweepTable:
-    """One pool chunk scored in ``_SERIAL_CHUNK``-sized grid passes.
+) -> Tuple[SweepTable, Records]:
+    """One pool chunk scored in ``_SERIAL_CHUNK``-sized passes.
 
     Shared verbatim by pool workers, resilient-crew workers and the
     in-process degradation fallback, so a chunk's table is identical no
     matter where (or how many times) it executes.
     """
-    step = _SERIAL_CHUNK if batch else 1
     parts: List[SweepTable] = []
-    for sub_lo in range(lo, hi, step):
-        sub_hi = min(sub_lo + step, hi)
-        parts.append(
-            _sweep_range(
-                dataset, sub_lo, sub_hi, devices, best_only,
-                formats, seed, cache, batch, precision, fused,
-            )
+    built: Records = {}
+    for sub_lo in range(lo, hi, _SERIAL_CHUNK):
+        sub_hi = min(sub_lo + _SERIAL_CHUNK, hi)
+        table, records = _sweep_range(
+            dataset, sub_lo, sub_hi, devices, best_only, formats, seed,
+            precision, cache,
         )
+        parts.append(table)
+        built.update(records)
         if progress_put is not None:
             progress_put(sub_hi - sub_lo)
-    return parts[0] if len(parts) == 1 else SweepTable.concat(parts)
+    table = parts[0] if len(parts) == 1 else SweepTable.concat(parts)
+    return table, built
 
 
 # -- worker-side state (initialised once per pool process) ------------------
@@ -217,26 +189,22 @@ _WORKER: dict = {}
 
 
 def _init_worker(specs, max_nnz, name, devices, best_only, formats, seed,
-                 cache_dir, batch, precision, fused,
-                 progress_queue=None) -> None:
-    cache = InstanceCache(cache_dir) if cache_dir else None
-    _WORKER["dataset"] = Dataset(
-        specs, max_nnz=max_nnz, name=name, cache=cache
-    )
+                 cache_dir, precision, progress_queue=None) -> None:
+    _WORKER["dataset"] = Dataset(specs, max_nnz=max_nnz, name=name)
     _WORKER["args"] = (
-        devices, best_only, formats, seed, cache, batch, precision, fused
+        devices, best_only, formats, seed, precision,
+        RecordCache(cache_dir) if cache_dir else None,
     )
     _WORKER["progress_queue"] = progress_queue
 
 
 def _run_chunk(task):
     chunk_id, (lo, hi) = task
-    args = _WORKER["args"]
     queue = _WORKER.get("progress_queue")
     put = queue.put if queue is not None else None
-    table = _chunk_table(_WORKER["dataset"], lo, hi, *args,
-                         progress_put=put)
-    return chunk_id, table, hi - lo
+    table, records = _chunk_table(_WORKER["dataset"], lo, hi,
+                                  *_WORKER["args"], progress_put=put)
+    return chunk_id, table, records
 
 
 # -- resilient dispatch ------------------------------------------------------
@@ -249,7 +217,7 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
     _init_worker(*init_args)
     dataset = _WORKER["dataset"]
     args = _WORKER["args"]
-    cache = args[4]
+    cache = args[-1]
     cache_dir = init_args[7]
     plan = FaultPlan.from_spec(fault_spec)
     while True:
@@ -265,7 +233,6 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
                 keys = None
                 if cache_dir and plan.matching(chunk_id, attempt,
                                                kinds=("corrupt",)):
-                    from .cache import spec_key
                     keys = [
                         spec_key(dataset.specs[i], dataset.max_nnz)
                         for i in range(lo, hi)
@@ -276,9 +243,10 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
             if want_progress:
                 def put(count, _cid=chunk_id):
                     result_conn.send(("progress", _cid, count))
-            table = _chunk_table(dataset, lo, hi, *args, progress_put=put)
+            table, records = _chunk_table(dataset, lo, hi, *args,
+                                          progress_put=put)
             quarantined = cache.quarantined if cache is not None else 0
-            result_conn.send(("ok", chunk_id, table, quarantined))
+            result_conn.send(("ok", chunk_id, table, records, quarantined))
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
@@ -487,7 +455,7 @@ class _ResilientDispatch:
                 _, chunk_id, count = message
                 self.meter.add(chunk_id, count)
             elif tag == "ok":
-                _, chunk_id, table, quarantined = message
+                _, chunk_id, table, records, quarantined = message
                 self._quarantine[worker.uid] = int(quarantined)
                 state = worker.chunk
                 worker.chunk = None
@@ -495,7 +463,7 @@ class _ResilientDispatch:
                 results[chunk_id] = table
                 self.report.chunks_completed += 1
                 self.meter.complete(chunk_id)
-                self.on_chunk_done(state, table)
+                self.on_chunk_done(state, table, records)
             elif worker.chunk is not None:
                 # "error": the worker caught a chunk exception and
                 # stays alive for the next assignment.
@@ -587,11 +555,11 @@ class _ResilientDispatch:
                 with self.report.phase("degraded"):
                     for state in sorted(degraded,
                                         key=lambda s: s.chunk_id):
-                        table = self.serial_fallback(state)
+                        table, records = self.serial_fallback(state)
                         results[state.chunk_id] = table
                         self.report.chunks_completed += 1
                         self.meter.complete(state.chunk_id)
-                        self.on_chunk_done(state, table)
+                        self.on_chunk_done(state, table, records)
         finally:
             self.close()
         return results
@@ -605,11 +573,9 @@ def run_sweep(
     seed: int = 0,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    cache: Optional[InstanceCache] = None,
+    cache: Optional[RecordCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    batch: bool = True,
     precision: str = "fp64",
-    fused: bool = False,
     run_dir: Optional[str] = None,
     resume: bool = False,
     pack_shards: bool = False,
@@ -621,16 +587,12 @@ def run_sweep(
 ) -> SweepTable:
     """Sharded, cached, fault-tolerant sweep (see module docstring).
 
-    ``cache`` takes precedence over ``cache_dir``; with ``jobs != 1`` the
-    cache must be directory-backed, so pass ``cache_dir`` (each worker
-    opens its own handle onto the shared directory).  ``batch`` routes
-    chunk scoring through the vectorised grid simulator (identical rows,
-    one NumPy pass per chunk); ``batch=False`` keeps the scalar loop.
-    ``fused`` (requires ``batch``) scores chunks straight from the specs
-    — structure generation, batched analytic stats and grid scoring in
-    one pass, with no instance materialisation and no cache traffic.
-    ``precision`` scores every cell at fp64 (default) or fp32 — the
-    experiment runner sweeps one precision slice at a time.
+    ``cache_dir`` (or an open ``cache`` handle onto one, which takes
+    precedence) persists each spec's measurement record; warm sweeps
+    load records instead of generating matrices, and records lacking a
+    key a new device set needs are rebuilt and appended.  ``precision``
+    scores every cell at fp64 (default) or fp32 — the experiment runner
+    sweeps one precision slice at a time.
 
     Resilience controls (resilient dispatch only): ``run_dir`` journals
     completed chunks for ``resume=True`` (``pack_shards`` stores them in
@@ -657,9 +619,9 @@ def run_sweep(
         with rep.phase("total"):
             table = _run_sweep_inner(
                 dataset, devices, best_only, formats, seed, jobs,
-                cache_dir, cache, progress, batch, precision, fused,
-                run_dir, resume, pack_shards, faults, chunk_timeout,
-                max_retries, rep, dispatch, journal_holder,
+                cache_dir, cache, progress, precision, run_dir, resume,
+                pack_shards, faults, chunk_timeout, max_retries, rep,
+                dispatch, journal_holder,
             )
         rep.status = "complete"
         if journal_holder[0] is not None:
@@ -679,11 +641,9 @@ def run_sweep(
 
 def _run_sweep_inner(
     dataset, devices, best_only, formats, seed, jobs, cache_dir, cache,
-    progress, batch, precision, fused, run_dir, resume, pack_shards,
-    faults, chunk_timeout, max_retries, rep, dispatch, journal_holder,
+    progress, precision, run_dir, resume, pack_shards, faults,
+    chunk_timeout, max_retries, rep, dispatch, journal_holder,
 ) -> SweepTable:
-    if fused and not batch:
-        raise ValueError("fused sweeps require batch=True")
     n = len(dataset)
     jobs = resolve_jobs(jobs)
     jobs = min(jobs, max(n, 1))
@@ -691,7 +651,7 @@ def _run_sweep_inner(
     if max_retries is None:
         max_retries = _DEFAULT_MAX_RETRIES
     if cache is None and cache_dir is not None:
-        cache = InstanceCache(cache_dir)
+        cache = RecordCache(cache_dir)
     if isinstance(faults, FaultPlan):
         plan = faults
     else:
@@ -708,9 +668,9 @@ def _run_sweep_inner(
     if resume and run_dir is None:
         raise ValueError("resume=True requires run_dir")
     rep.engine = {
-        "dispatch": dispatch, "jobs": jobs, "batch": bool(batch),
-        "fused": bool(fused), "precision": precision, "n_specs": n,
-        "max_retries": max_retries, "chunk_timeout": chunk_timeout,
+        "dispatch": dispatch, "jobs": jobs, "precision": precision,
+        "n_specs": n, "max_retries": max_retries,
+        "chunk_timeout": chunk_timeout,
         "journalled": run_dir is not None, "resumed": bool(resume),
         "shards": (
             None if run_dir is None
@@ -724,7 +684,7 @@ def _run_sweep_inner(
     bounds: Optional[List[tuple]] = None
     if run_dir is not None:
         config = sweep_config(dataset, devices, best_only, formats, seed,
-                              precision, batch, fused)
+                              precision)
         if resume:
             journal = RunJournal.load(run_dir)
             journal.check_config(config)
@@ -741,7 +701,14 @@ def _run_sweep_inner(
             )
         journal_holder[0] = journal
 
-    def on_chunk_done(state: _ChunkState, table: SweepTable) -> None:
+    def keep(records: Records) -> None:
+        # The parent is the cache's only writer.
+        if cache is not None:
+            cache.append(records)
+
+    def on_chunk_done(state: _ChunkState, table: SweepTable,
+                      records: Records) -> None:
+        keep(records)
         if journal is not None:
             journal.write_shard(state.chunk_id, table)
             journal.record_chunk(
@@ -752,36 +719,37 @@ def _run_sweep_inner(
                 f"injected stop after chunk {state.chunk_id}"
             )
 
+    args = (devices, best_only, formats, seed, precision, cache)
+    try:
+        return _dispatch(dataset, args, jobs, dispatch, cache_dir, plan,
+                         progress, chunk_timeout, max_retries, rep,
+                         journal, bounds, completed, on_chunk_done, keep)
+    finally:
+        if cache is not None:
+            rep.cache_quarantined += cache.quarantined
+
+
+def _dispatch(dataset, args, jobs, dispatch, cache_dir, plan, progress,
+              chunk_timeout, max_retries, rep, journal, bounds, completed,
+              on_chunk_done, keep) -> SweepTable:
+    n = len(dataset)
+    cache = args[-1]
     # -- serial ----------------------------------------------------------
     if jobs == 1 or n == 0:
-        serial_dataset = dataset
-        if cache is not None and dataset.cache is None and not fused:
-            # Attach the cache for reads without mutating the caller's
-            # dataset; instances shared through the cache's memory layer.
-            serial_dataset = Dataset(
-                dataset.specs, max_nnz=dataset.max_nnz,
-                name=dataset.name, cache=cache,
-            )
         if journal is None:
             chunks: List[SweepTable] = []
-            step = _SERIAL_CHUNK if batch else 1
-            rep.chunks_total = max((n + step - 1) // step, 0)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                chunks.append(
-                    _sweep_range(
-                        serial_dataset, lo, hi, devices, best_only,
-                        formats, seed, cache, batch, precision, fused,
-                    )
-                )
+            rep.chunks_total = (n + _SERIAL_CHUNK - 1) // _SERIAL_CHUNK
+            for lo in range(0, n, _SERIAL_CHUNK):
+                hi = min(lo + _SERIAL_CHUNK, n)
+                table, records = _sweep_range(dataset, lo, hi, *args)
+                keep(records)
+                chunks.append(table)
                 rep.chunks_completed += 1
                 if progress is not None:
                     # Per-spec callbacks (the documented granularity),
                     # fired once the chunk they belong to is scored.
                     for i in range(lo, hi):
                         progress(i + 1, n)
-            if cache is not None:
-                rep.cache_quarantined += cache.quarantined
             return SweepTable.concat(chunks)
         # Journalled serial run: execute at the journalled chunk
         # granularity so shards/resume are jobs-independent.
@@ -792,19 +760,14 @@ def _run_sweep_inner(
             if chunk_id in completed:
                 tables.append(completed[chunk_id])
             else:
-                state = _ChunkState(chunk_id, lo, hi)
-                table = _chunk_table(
-                    serial_dataset, lo, hi, devices, best_only, formats,
-                    seed, cache, batch, precision, fused,
-                )
+                table, records = _chunk_table(dataset, lo, hi, *args)
                 rep.chunks_completed += 1
                 tables.append(table)
-                on_chunk_done(state, table)
+                on_chunk_done(_ChunkState(chunk_id, lo, hi), table,
+                              records)
             done += hi - lo
             if progress is not None:
                 progress(done, n)
-        if cache is not None:
-            rep.cache_quarantined += cache.quarantined
         return SweepTable.concat(tables)
 
     # -- parallel --------------------------------------------------------
@@ -819,9 +782,10 @@ def _run_sweep_inner(
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
+    devices, best_only, formats, seed, precision, _ = args
     init_args = (
         dataset.specs, dataset.max_nnz, dataset.name, list(devices),
-        best_only, formats, seed, cache_dir, batch, precision, fused,
+        best_only, formats, seed, cache_dir, precision,
     )
     states = [
         _ChunkState(chunk_id, lo, hi)
@@ -830,27 +794,16 @@ def _run_sweep_inner(
     ]
 
     if dispatch == "pool":
-        results = _run_pool(ctx, jobs, init_args, bounds, progress, n)
+        results = _run_pool(ctx, jobs, init_args, bounds, progress, n,
+                            keep)
     else:
         sizes = {s.chunk_id: s.size for s in states}
         base = sum(hi - lo for cid, (lo, hi) in enumerate(bounds)
                    if cid in completed)
         meter = _ProgressMeter(sizes, n, base, progress)
 
-        fallback_dataset: List[Optional[Dataset]] = [None]
-
-        def serial_fallback(state: _ChunkState) -> SweepTable:
-            if fallback_dataset[0] is None:
-                fallback_dataset[0] = Dataset(
-                    dataset.specs, max_nnz=dataset.max_nnz,
-                    name=dataset.name,
-                    cache=cache if not fused else None,
-                )
-            return _chunk_table(
-                fallback_dataset[0], state.lo, state.hi, devices,
-                best_only, formats, seed,
-                cache if not fused else None, batch, precision, fused,
-            )
+        def serial_fallback(state: _ChunkState):
+            return _chunk_table(dataset, state.lo, state.hi, *args)
 
         crew = _ResilientDispatch(
             ctx, jobs, init_args, plan, progress is not None,
@@ -873,7 +826,7 @@ def _run_sweep_inner(
         )
 
 
-def _run_pool(ctx, jobs, init_args, bounds, progress, n) -> dict:
+def _run_pool(ctx, jobs, init_args, bounds, progress, n, keep) -> dict:
     """The plain ``multiprocessing.Pool`` baseline dispatch.
 
     No retries, deadlines or journal — but teardown is unconditional:
@@ -904,10 +857,11 @@ def _run_pool(ctx, jobs, init_args, bounds, progress, n) -> dict:
     pool = ctx.Pool(processes=jobs, initializer=_init_worker,
                     initargs=pool_init_args)
     try:
-        for chunk_id, chunk, _count in pool.imap_unordered(
+        for chunk_id, chunk, records in pool.imap_unordered(
             _run_chunk, list(enumerate(bounds))
         ):
             results[chunk_id] = chunk
+            keep(records)
     finally:
         # Unconditional teardown: terminate + join reaps every worker
         # even when imap raised (worker exception, Ctrl-C), and the

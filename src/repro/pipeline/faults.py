@@ -21,10 +21,11 @@ Fault kinds
     NFS mount or livelocked dependency; only a per-chunk timeout
     recovers it.
 ``corrupt``
-    The worker damages one existing instance-cache entry (truncation or
-    a flipped byte, chosen deterministically from the plan seed) before
-    running the chunk — models torn writes and disk rot; the cache's
-    quarantine path must absorb it.
+    The worker damages the stored bytes of one of the chunk's records
+    inside the record-cache pack (a zeroed tail or a flipped byte,
+    chosen deterministically from the plan seed) before running the
+    chunk — models torn writes and disk rot; the cache's quarantine
+    path must absorb it.
 ``stop``
     Fires in the *parent* the moment the chunk's result is journalled —
     models a mid-run ``kill``/Ctrl-C for resume tests without spawning
@@ -51,6 +52,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from ..io.pack import Pack, PackError
+from .cache import PACK_NAME
 from .report import SweepError
 
 __all__ = ["Fault", "FaultPlan", "InjectedFaultError", "FAULT_KINDS"]
@@ -193,11 +196,11 @@ class FaultPlan:
              keys: Optional[Sequence[str]] = None) -> None:
         """Trigger worker-side faults armed for ``(chunk_id, attempt)``.
 
-        ``corrupt`` damages a cache entry and *returns* (the chunk then
+        ``corrupt`` damages a cached record and *returns* (the chunk then
         runs against the damaged cache); ``crash``/``hang``/``error``
         never return normally.  ``keys`` narrows corruption to the
-        chunk's own content keys so the damaged entry is read — and must
-        be quarantined and rematerialised — by the very chunk the fault
+        chunk's own content keys so the damaged record is read — and
+        must be quarantined and rebuilt — by the very chunk the fault
         targets.
         """
         for fault in self.matching(chunk_id, attempt,
@@ -216,26 +219,45 @@ class FaultPlan:
     def _corrupt_cache_entry(self, cache_dir: Optional[str],
                              chunk_id: int,
                              keys: Optional[Sequence[str]]) -> None:
-        """Truncate or bit-flip one existing cache file, chosen
+        """Damage one live record of the cache pack in place, chosen
         deterministically from ``(seed, chunk_id)``."""
         if not cache_dir:
             return
-        root = Path(cache_dir)
-        if not root.is_dir():
+        path = Path(cache_dir) / PACK_NAME
+        try:
+            with Pack.open(path) as pack:
+                live = pack.keys()
+                targeted = [k for k in live if k in set(keys or ())]
+                candidates = targeted or live
+                if not candidates:
+                    return
+                rng = random.Random(f"{self.seed}:{chunk_id}")
+                entry = pack.entry(candidates[rng.randrange(len(candidates))])
+        except PackError:
             return
-        files = sorted(
-            p for p in root.iterdir()
-            if p.is_file() and p.suffix in (".npz", ".json")
-        )
-        if keys:
-            targeted = [p for p in files if p.stem in set(keys)]
-            files = targeted or files
-        if not files:
-            return
-        rng = random.Random(f"{self.seed}:{chunk_id}")
-        target = files[rng.randrange(len(files))]
-        corrupt_file(target, mode=rng.choice(("truncate", "flip")),
-                     rng=rng)
+        corrupt_span(path, entry.offset, entry.csize,
+                     mode=rng.choice(("truncate", "flip")), rng=rng)
+
+
+def corrupt_span(path, offset: int, length: int, mode: str = "truncate",
+                 rng: Optional[random.Random] = None) -> str:
+    """Damage ``length`` bytes at ``offset`` of ``path`` in place:
+    ``truncate`` zeroes the second half of the span (a torn write),
+    ``flip`` XOR-flips one of its bytes.  Returns the mode applied (a
+    one-byte span is always flipped)."""
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        data = bytearray(fh.read(length))
+        if mode == "truncate" and len(data) >= 2:
+            half = len(data) // 2
+            data[half:] = bytes(len(data) - half)
+        else:
+            mode = "flip"
+            rng = rng or random.Random(0)
+            data[rng.randrange(len(data))] ^= 0xFF
+        fh.seek(offset)
+        fh.write(bytes(data))
+    return mode
 
 
 def corrupt_file(path, mode: str = "truncate",

@@ -30,8 +30,8 @@ written before the field existed default to the directory layout):
   single-writer contract; retried chunks re-append idempotently.
 
 The ``begin`` record pins the sweep *configuration fingerprint* —
-content keys of every spec, device names, seed, precision, engine
-flags — plus the chunk bounds.  Resume refuses a mismatched
+content keys of every spec, device names, seed, precision — plus the
+chunk bounds.  Resume refuses a mismatched
 configuration (:class:`~repro.pipeline.report.ResumeError`) and always
 re-executes against the journalled bounds, so the merged table is
 byte-identical to an uninterrupted run regardless of the ``--jobs``
@@ -54,20 +54,21 @@ from .report import ResumeError
 
 __all__ = ["RunJournal", "sweep_config", "JOURNAL_VERSION", "SHARD_STORES"]
 
-JOURNAL_VERSION = 1
+# v2: the configuration fingerprint no longer records engine flags.
+JOURNAL_VERSION = 2
 
 # Recognised shard layouts (see module docstring).
 SHARD_STORES = ("dir", "pack")
 
 
-def sweep_config(dataset, devices, best_only, formats, seed, precision,
-                 batch, fused) -> dict:
+def sweep_config(dataset, devices, best_only, formats, seed,
+                 precision) -> dict:
     """The configuration fingerprint journalled with a run.
 
     Everything that changes the merged table is in here (specs via their
-    content keys, devices, seed, precision, engine mode); everything
-    proven not to (jobs, cache state, dispatch mode) is not, so a run
-    can be resumed with different parallelism on a different machine.
+    content keys, devices, seed, precision); everything proven not to
+    (jobs, cache state, dispatch mode) is not, so a run can be resumed
+    with different parallelism on a different machine.
     """
     digest = hashlib.sha256()
     for spec in dataset.specs:
@@ -83,8 +84,6 @@ def sweep_config(dataset, devices, best_only, formats, seed, precision,
         "formats": list(formats) if formats else None,
         "seed": int(seed),
         "precision": precision,
-        "batch": bool(batch),
-        "fused": bool(fused),
     }
 
 
@@ -171,9 +170,10 @@ class RunJournal:
         begin = records[0]
         if begin.get("version") != JOURNAL_VERSION:
             raise ResumeError(
-                f"{journal.path} was written by journal version "
-                f"{begin.get('version')}; this build reads version "
-                f"{JOURNAL_VERSION}"
+                f"{journal.path} was written by journal "
+                f"v{begin.get('version')}, but this build reads journal "
+                f"v{JOURNAL_VERSION}; rerun without --resume (into a "
+                "fresh --run-dir)"
             )
         store = begin.get("shards", "dir")
         if store not in SHARD_STORES:

@@ -124,6 +124,44 @@ class TestAppend:
         with Pack.open(path) as pack:
             assert bytes(pack.read("a")) == b"alpha"
 
+    def test_torn_first_append_is_restarted(self, tmp_path):
+        """A first append that died before its header landed leaves a
+        file shorter than a header: no committed data, so the next
+        append starts the pack over instead of failing on it."""
+        path = tmp_path / "p.rpak"
+        path.write_bytes(b"\x00" * (HEADER_SIZE // 2))
+        assert append_entries(path, [("a", "k", b"alpha")]) == 1
+        with Pack.open(path) as pack:
+            assert pack.keys() == ["a"]
+            assert bytes(pack.read("a")) == b"alpha"
+
+    def test_first_append_commits_an_empty_pack_first(self, tmp_path):
+        """Dying during the first append's blob writes leaves a valid,
+        empty pack (the ignored tail is reclaimed by compaction)."""
+        path = tmp_path / "p.rpak"
+        append_entries(path, [("a", "k", b"alpha")])
+        with open(path, "r+b") as fh:  # undo phase 2 of the append
+            fh.write(
+                struct.pack("<8sIIQQ32s", PACK_MAGIC, PACK_VERSION, 0,
+                            HEADER_SIZE, 0, hashlib.sha256().digest())
+            )
+        with Pack.open(path) as pack:
+            assert pack.keys() == []
+        assert append_entries(path, [("a", "k", b"alpha")]) == 1
+
+    def test_damaged_entry_is_re_appended(self, tmp_path):
+        """An identical payload is skipped only while the stored copy
+        still verifies; a damaged copy gets a shadowing record."""
+        path = make_pack(tmp_path / "p.rpak")
+        with Pack.open(path) as pack:
+            offset = pack.entry("a").offset
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert append_entries(path, [("a", "kind", b"alpha")]) == 1
+        with Pack.open(path) as pack:
+            assert bytes(pack.read("a")) == b"alpha"
+
     def test_append_is_idempotent_for_identical_payloads(self, tmp_path):
         path = make_pack(tmp_path / "p.rpak")
         size = path.stat().st_size

@@ -213,9 +213,8 @@ def test_grid_rows_schema_and_order(grid):
 
 
 class TestSweepEngines:
-    """The pipeline's batched chunk scoring is row-for-row identical to
-    the scalar spec_rows reference — the property that lets the batch
-    path be the default engine."""
+    """The pipeline's record-scored sweep and the batched instance grid
+    are row-for-row identical to the scalar spec_rows reference."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -238,9 +237,11 @@ class TestSweepEngines:
 
     def test_sweep_batch_equals_scalar_engine(self, dataset):
         devices = [TESTBEDS["INTEL-XEON"]]
-        batch = sweep(dataset, devices, batch=True)
-        scalar = sweep(dataset, devices, batch=False)
-        assert batch.rows == scalar.rows
+        batch = sweep(dataset, devices)
+        scalar = [row for i in range(len(dataset))
+                  for row in spec_rows(dataset, i, devices)]
+        assert [{k: v for k, v in row.items() if k != "precision"}
+                for row in batch.rows] == scalar
 
 
 class TestBestDetailed:

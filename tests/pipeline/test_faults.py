@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.io.pack import Pack, PackError, append_entries
 from repro.pipeline import Fault, FaultPlan, InjectedFaultError, corrupt_file
-from repro.pipeline.faults import FAULT_KINDS, HANG_SECONDS
+from repro.pipeline.cache import PACK_NAME
+from repro.pipeline.faults import FAULT_KINDS, HANG_SECONDS, corrupt_span
 
 
 class TestFaultTokens:
@@ -153,13 +155,30 @@ class TestCorruptFile:
         assert path.read_bytes() == b""
 
     def test_corrupt_fault_targets_the_given_keys(self, tmp_path):
-        for name in ("aaa.npz", "bbb.npz", "ccc.json"):
-            (tmp_path / name).write_bytes(bytes(range(64)))
+        pack_path = tmp_path / PACK_NAME
+        append_entries(pack_path, [(key, "record", bytes(range(64)))
+                                   for key in ("aaa", "bbb", "ccc")])
         plan = FaultPlan([Fault("corrupt", 0)], seed=1)
         plan.fire(0, 0, cache_dir=str(tmp_path), keys=["bbb"])
-        assert (tmp_path / "aaa.npz").read_bytes() == bytes(range(64))
-        assert (tmp_path / "ccc.json").read_bytes() == bytes(range(64))
-        assert (tmp_path / "bbb.npz").read_bytes() != bytes(range(64))
+        with Pack.open(pack_path) as pack:
+            assert bytes(pack.read("aaa")) == bytes(range(64))
+            assert bytes(pack.read("ccc")) == bytes(range(64))
+            with pytest.raises(PackError, match="checksum"):
+                pack.read("bbb")
+
+    def test_corrupt_span_damages_only_the_span(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(bytes(range(100)))
+        assert corrupt_span(path, 10, 20, mode="truncate") == "truncate"
+        damaged = path.read_bytes()
+        assert damaged[:20] == bytes(range(20))
+        assert damaged[20:30] == bytes(10)
+        assert damaged[30:] == bytes(range(30, 100))
+        assert corrupt_span(path, 50, 10, mode="flip",
+                            rng=random.Random(1)) == "flip"
+        diffs = [i for i, (a, b) in enumerate(zip(path.read_bytes(),
+                                                  damaged)) if a != b]
+        assert len(diffs) == 1 and 50 <= diffs[0] < 60
 
     def test_corrupt_fault_tolerates_missing_targets(self, tmp_path):
         plan = FaultPlan([Fault("corrupt", 0)], seed=1)

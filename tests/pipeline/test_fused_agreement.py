@@ -1,9 +1,12 @@
-"""Golden agreement: fused sweeps are bit-identical to the instance path.
+"""Golden agreement: record sweeps are bit-identical to the instance path.
 
-The fused cold path (``repro.perfmodel.fused``) must reproduce the
-instance-materialising sweep row for row — same measurements, same noise,
-same skip reasons, same category order — across execution engines
-(serial / pool), cache states (cold / warm) and every registered format,
+The production sweep scores each chunk from per-spec measurement records
+built straight from a structure batch (``repro.perfmodel.record``) —
+the former fused cold path, now the only one.  It must reproduce the
+instance-materialising reference (``grid_spec_table`` /
+``simulate_grid``) row for row — same measurements, same noise, same
+skip reasons, same category order — across execution engines (serial /
+pool), cache states (cold / warm) and every registered format,
 including the scalar fallback and capacity-gated cells.  The hypothesis
 section pins the ``stats_from_csr_batch`` contract itself: a batch entry
 equals the scalar ``stats_from_csr`` outcome (errors included) and is
@@ -16,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_dataset_specs
-from repro.core.dataset import Dataset, fused_spec_table, grid_spec_table
+from repro.core.dataset import Dataset, grid_spec_table, records_table
 from repro.core.matrix import CSRStructBatch, csr_from_coo
 from repro.devices import get_device
 from repro.formats import FORMAT_REGISTRY, FormatError
-from repro.perfmodel.batch import _score_grid, simulate_grid
-from repro.perfmodel.fused import FusedSpecSource
+from repro.perfmodel.batch import _GridPlan, _score_grid, simulate_grid
+from repro.perfmodel.record import RecordSource, build_records
 from repro.pipeline.engine import run_sweep
 
 DEVICE_NAMES = ("AMD-EPYC-24", "Tesla-A100", "Alveo-U280")
@@ -41,8 +44,14 @@ def golden_specs():
     return [specs[i] for i in SPEC_INDICES]
 
 
-def _dataset(specs, cache=None):
-    return Dataset(specs, max_nnz=MAX_NNZ, name="golden", cache=cache)
+def _dataset(specs):
+    return Dataset(specs, max_nnz=MAX_NNZ, name="golden")
+
+
+def _reference(specs, best_only, formats=None):
+    """The instance reference path over the whole spec list."""
+    return grid_spec_table(_dataset(specs), 0, len(specs), _devices(),
+                           best_only=best_only, formats=formats)
 
 
 def _assert_tables_equal(a, b, context=""):
@@ -68,40 +77,40 @@ def _assert_tables_equal(a, b, context=""):
 # ---------------------------------------------------------------------------
 def test_fused_equals_instance_serial(golden_specs):
     for best_only in (True, False):
-        ref = run_sweep(_dataset(golden_specs), _devices(),
-                        best_only=best_only)
+        ref = _reference(golden_specs, best_only)
         got = run_sweep(_dataset(golden_specs), _devices(),
-                        best_only=best_only, fused=True)
+                        best_only=best_only)
         _assert_tables_equal(ref, got, f"best_only={best_only}")
 
 
 def test_fused_equals_instance_under_pool(golden_specs):
-    ref = run_sweep(_dataset(golden_specs), _devices(), best_only=False)
+    ref = _reference(golden_specs, best_only=False)
     got = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
-                    fused=True, jobs=2)
+                    jobs=2)
     _assert_tables_equal(got, ref, "jobs=2")
 
 
 def test_fused_agrees_with_cold_and_warm_cache(golden_specs, tmp_path):
     cache_dir = str(tmp_path / "cache")
+    ref = _reference(golden_specs, best_only=False)
     cold = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
                      cache_dir=cache_dir)
     warm = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
                      cache_dir=cache_dir)
-    fused = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
-                      fused=True, cache_dir=cache_dir)
+    _assert_tables_equal(ref, cold, "reference vs cold")
     _assert_tables_equal(cold, warm, "cold vs warm")
-    _assert_tables_equal(cold, fused, "cold vs fused")
 
 
 def test_fused_covers_every_registered_format(golden_specs):
     """Explicit all-format sweep: the scalar-fallback formats (no
     vectorised ``stats_from_csr_batch`` override) must agree too."""
     formats = sorted(FORMAT_REGISTRY)
-    ref = grid_spec_table(_dataset(golden_specs), 0, len(golden_specs),
-                          _devices(), best_only=False, formats=formats)
-    got = fused_spec_table(_dataset(golden_specs), 0, len(golden_specs),
-                           _devices(), best_only=False, formats=formats)
+    n = len(golden_specs)
+    ref = _reference(golden_specs, best_only=False, formats=formats)
+    records = build_records(golden_specs, MAX_NNZ,
+                            _GridPlan(_devices(), formats))
+    got = records_table(_dataset(golden_specs), 0, n, records, _devices(),
+                        best_only=False, formats=formats)
     _assert_tables_equal(ref, got, "all formats")
     scored = set(ref.categories("format"))
     # The fallback path is genuinely exercised, not vacuously green.
@@ -120,9 +129,9 @@ def test_fused_grid_bit_identity_and_skip_sets(golden_specs):
     formats = sorted(FORMAT_REGISTRY)
     instances = [dataset.instance(i) for i in range(n)]
     ref = simulate_grid(instances, _devices(), formats=formats)
-    source = FusedSpecSource(
-        golden_specs, [f"golden[{i}]" for i in range(n)], max_nnz=MAX_NNZ
-    )
+    records = build_records(golden_specs, MAX_NNZ,
+                            _GridPlan(_devices(), formats))
+    source = RecordSource(records, [f"golden[{i}]" for i in range(n)])
     got = _score_grid(source, _devices(), formats=formats)
 
     assert ref.instance_names == got.instance_names

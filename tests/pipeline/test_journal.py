@@ -24,8 +24,7 @@ def dataset(specs=None):
 
 def config(**overrides):
     kwargs = dict(dataset=dataset(), devices=DEVICES, best_only=True,
-                  formats=None, seed=0, precision="fp64", batch=True,
-                  fused=False)
+                  formats=None, seed=0, precision="fp64")
     kwargs.update(overrides)
     return sweep_config(**kwargs)
 
@@ -119,6 +118,30 @@ class TestJournalLifecycle:
         journal.path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ResumeError, match="version"):
             RunJournal.load(tmp_path / "run")
+
+    def test_v1_journal_resume_is_actionable(self, tmp_path):
+        """A run dir written before the engine flags left the
+        fingerprint must be refused by version, not by a key diff."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        v1_config = dict(config(), batch=True, fused=False)
+        records = [
+            {"event": "begin", "version": 1, "shards": "dir",
+             "config": v1_config, "bounds": [[0, 2], [2, 4]]},
+            {"event": "chunk", "chunk": 0, "lo": 0, "hi": 2,
+             "attempt": 0, "shard": "chunk-000000.npz"},
+            {"event": "end", "status": "interrupted"},
+        ]
+        (run_dir / "journal.jsonl").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        with pytest.raises(ResumeError) as info:
+            run_sweep(dataset(), DEVICES, run_dir=str(run_dir),
+                      resume=True)
+        message = str(info.value)
+        assert "written by journal v1" in message
+        assert "rerun without --resume" in message
+        assert "batch" not in message
 
     def test_check_config_names_the_differing_keys(self, tmp_path):
         journal = RunJournal.create(tmp_path / "run", config(), BOUNDS)

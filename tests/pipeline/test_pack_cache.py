@@ -1,12 +1,13 @@
-"""Pack-backed cache + pack-backed journal shards.
+"""The record pack + pack-backed journal shards.
 
-Mirror of tests/pipeline/test_quarantine.py for the pack era: a warm
-sweep served entirely out of ``cache.rpak`` must be row-for-row
-bit-identical to the directory-cache and no-cache paths, and every pack
-corruption mode must quarantine evidence (never delete) and leave the
-sweep output bit-identical.
+Mirror of tests/pipeline/test_quarantine.py at the pack level: a warm
+sweep served entirely out of ``records.rpak`` must be row-for-row
+bit-identical to a cold sweep, every pack corruption mode must
+quarantine evidence (never delete) and leave the sweep output
+bit-identical, and concurrent writers must never lose records.
 """
 
+import multiprocessing
 import os
 import shutil
 import threading
@@ -16,9 +17,9 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
-from repro.io.pack import HEADER_SIZE
-from repro.pipeline import InstanceCache, RunReport, run_sweep
-from repro.pipeline.cache import PACK_NAME, pack_cache_dir, unpack_cache
+from repro.io.pack import HEADER_SIZE, Pack
+from repro.pipeline import RecordCache, RunReport, run_sweep
+from repro.pipeline.cache import PACK_NAME
 from repro.pipeline.journal import RunJournal, sweep_config
 
 from tests.pipeline.golden import assert_bit_identical
@@ -28,151 +29,166 @@ MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::29]  # 7 specs
 
 
-def dataset(cache=None):
-    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny", cache=cache)
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
 
 
 @pytest.fixture(scope="module")
 def golden_and_packed_cache(tmp_path_factory):
-    """Golden table + a cache directory whose entries live only in the
-    pack (loose pairs pruned after checksum verification)."""
+    """Golden table + a cache directory filled by a cold sweep."""
     warm = tmp_path_factory.mktemp("packed-cache")
     table = run_sweep(dataset(), DEVICES, cache_dir=str(warm))
-    entries, _ = pack_cache_dir(warm, prune=True)
-    assert entries == len(SPECS)
-    assert not list(warm.glob("*.npz"))
+    assert sorted(p.name for p in warm.iterdir()) == [PACK_NAME]
     return table, warm
+
+
+def _copy(packed, tmp_path):
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(packed, cache_dir)
+    return cache_dir
 
 
 class TestPackBackedCache:
     def test_warm_sweep_from_pack_bit_identical(
             self, golden_and_packed_cache, tmp_path):
         golden, packed = golden_and_packed_cache
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(packed, cache_dir)
-        cache = InstanceCache(cache_dir)
+        cache = RecordCache(_copy(packed, tmp_path))
         table = run_sweep(dataset(), DEVICES, cache=cache)
         assert_bit_identical(table, golden)
-        assert cache.hits_pack == len(SPECS)
+        assert cache.hits == len(SPECS)
         assert cache.misses == 0
         assert cache.quarantined == 0
-
-    def test_loose_pair_shadows_pack(self, golden_and_packed_cache,
-                                     tmp_path):
-        """A later store writes loose pairs; fetch must prefer them
-        over the (older, read-only) pack snapshot."""
-        golden, packed = golden_and_packed_cache
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(packed, cache_dir)
-        unpack_cache(cache_dir / PACK_NAME, cache_dir)
-        cache = InstanceCache(cache_dir)
-        table = run_sweep(dataset(), DEVICES, cache=cache)
-        assert_bit_identical(table, golden)
-        assert cache.hits_disk == len(SPECS)
-        assert cache.hits_pack == 0
 
     @pytest.mark.parametrize("mode", ["magic", "truncate"])
     def test_corrupt_pack_file_quarantined(
             self, golden_and_packed_cache, tmp_path, mode):
         """An unreadable pack is moved into quarantine/ wholesale; the
-        sweep rematerialises everything and stays bit-identical."""
+        sweep rebuilds every record and stays bit-identical."""
         golden, packed = golden_and_packed_cache
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(packed, cache_dir)
+        cache_dir = _copy(packed, tmp_path)
         pack_path = cache_dir / PACK_NAME
         data = pack_path.read_bytes()
         if mode == "magic":
             pack_path.write_bytes(b"NOTAPACK" + data[8:])
         else:
             pack_path.write_bytes(data[: HEADER_SIZE // 2])
-        cache = InstanceCache(cache_dir)
+        cache = RecordCache(cache_dir)
         rep = RunReport()
         table = run_sweep(dataset(), DEVICES, cache=cache, report=rep)
         assert_bit_identical(table, golden)
         assert cache.quarantined == 1
         assert rep.cache_quarantined >= 1
-        assert not pack_path.exists()
         assert (cache_dir / "quarantine" / PACK_NAME).exists()
+        # The rebuilt records went into a fresh pack.
+        assert len(RecordCache(cache_dir)) == len(SPECS)
 
     def test_corrupt_pack_entry_quarantined_as_copy(
             self, golden_and_packed_cache, tmp_path):
-        """One flipped blob byte: only that entry is treated as a miss,
-        its raw bytes are copied out as evidence, and the rest of the
-        pack keeps serving hits."""
+        """One flipped blob byte: only that record is a miss, its raw
+        bytes are copied out as evidence, and the rest of the pack keeps
+        serving hits."""
         golden, packed = golden_and_packed_cache
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(packed, cache_dir)
+        cache_dir = _copy(packed, tmp_path)
         pack_path = cache_dir / PACK_NAME
         data = bytearray(pack_path.read_bytes())
-        data[HEADER_SIZE] ^= 0xFF  # first blob byte = first entry
+        data[HEADER_SIZE] ^= 0xFF  # first blob byte = first record
         pack_path.write_bytes(bytes(data))
-        cache = InstanceCache(cache_dir)
+        cache = RecordCache(cache_dir)
         table = run_sweep(dataset(), DEVICES, cache=cache)
         assert_bit_identical(table, golden)
-        assert cache.hits_pack == len(SPECS) - 1
+        assert cache.hits == len(SPECS) - 1
         assert cache.quarantined == 1
-        assert pack_path.exists()  # the pack itself is untouched
-        evidence = sorted(
-            p.name for p in (cache_dir / "quarantine").iterdir()
-        )
-        assert len(evidence) == 2  # both halves copied out as a pair
-        assert {n.rsplit(".", 1)[1] for n in evidence} == {"npz", "json"}
+        evidence = list((cache_dir / "quarantine").iterdir())
+        assert len(evidence) == 1
+        assert evidence[0].name.endswith(".json")
+        # The rebuilt record shadows the damaged one.
+        fresh = RecordCache(cache_dir)
+        assert run_sweep(dataset(), DEVICES, cache=fresh) == golden
+        assert fresh.hits == len(SPECS) and fresh.quarantined == 0
 
 
 class TestLen:
-    def test_counts_only_complete_pairs(self, tmp_path):
-        spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache = InstanceCache(tmp_path)
-        cache.store(spec, MAX_NNZ, inst)
-        assert len(InstanceCache(tmp_path)) == 1
-        # An orphaned half (crash between the two atomic writes) is not
-        # a usable entry and must not be counted.
-        (tmp_path / f"{'0' * 32}.npz").write_bytes(b"orphan")
-        (tmp_path / f"{'f' * 32}.json").write_text("{}")
-        assert len(InstanceCache(tmp_path)) == 1
+    def test_counts_only_complete_pairs(self, golden_and_packed_cache,
+                                        tmp_path):
+        """Only committed records count: bytes an interrupted append
+        left past the live table are ignored."""
+        _, packed = golden_and_packed_cache
+        cache_dir = _copy(packed, tmp_path)
+        with open(cache_dir / PACK_NAME, "ab") as fh:
+            fh.write(b'{"torn": "append"}' * 10)
+        assert len(RecordCache(cache_dir)) == len(SPECS)
 
-    def test_census_is_cached_not_rescanned(self, tmp_path):
-        spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache = InstanceCache(tmp_path)
-        assert len(cache) == 0
-        cache.store(spec, MAX_NNZ, inst)
-        # store() updated the census incrementally; a file that appears
-        # behind the handle's back is invisible until a fresh handle
-        # scans — proving repeated len() calls do not re-list the dir.
-        real = os.scandir
+    def test_census_is_cached_not_rescanned(self, golden_and_packed_cache,
+                                            tmp_path, monkeypatch):
+        """len() reads the pack's entry table; it never lists the
+        directory."""
+        _, packed = golden_and_packed_cache
+        cache = RecordCache(_copy(packed, tmp_path))
         calls = []
+        for name in ("scandir", "listdir"):
+            real = getattr(os, name)
 
-        def counting_scandir(*a, **k):
-            calls.append(a)
-            return real(*a, **k)
+            def counting(*a, _real=real, **k):
+                calls.append(a)
+                return _real(*a, **k)
 
-        os.scandir = counting_scandir
-        try:
-            for _ in range(10):
-                assert len(cache) == 1
-        finally:
-            os.scandir = real
+            monkeypatch.setattr(os, name, counting)
+        for _ in range(10):
+            assert len(cache) == len(SPECS)
         assert calls == []
 
     def test_pack_entries_counted(self, golden_and_packed_cache,
                                   tmp_path):
         _, packed = golden_and_packed_cache
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(packed, cache_dir)
-        assert len(InstanceCache(cache_dir)) == len(SPECS)
+        assert len(RecordCache(_copy(packed, tmp_path))) == len(SPECS)
+        assert len(RecordCache(tmp_path / "empty")) == 0
 
-    def test_quarantine_updates_census(self, tmp_path):
-        spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache = InstanceCache(tmp_path)
-        cache.store(spec, MAX_NNZ, inst)
-        next(tmp_path.glob("*.json")).write_text("{ torn")
-        fresh = InstanceCache(tmp_path)
-        assert len(fresh) == 1          # census taken before detection
-        assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
-        assert len(fresh) == 0          # quarantine removed the entry
+    def test_quarantine_updates_census(self, golden_and_packed_cache,
+                                       tmp_path):
+        _, packed = golden_and_packed_cache
+        cache_dir = _copy(packed, tmp_path)
+        pack_path = cache_dir / PACK_NAME
+        with Pack.open(pack_path) as pack:
+            key = pack.keys()[0]
+            entry = pack.entry(key)
+        data = bytearray(pack_path.read_bytes())
+        data[entry.offset] ^= 0xFF
+        pack_path.write_bytes(bytes(data))
+        fresh = RecordCache(cache_dir)
+        assert len(fresh) == len(SPECS)  # counted before detection
+        assert fresh.load([key]) == [None]
+        assert len(fresh) == len(SPECS) - 1
+
+
+def _append_many(root, worker, n):
+    from repro.perfmodel.batch import _GridPlan
+    from repro.perfmodel.record import build_records
+
+    record = build_records(SPECS[:1], MAX_NNZ, _GridPlan(DEVICES))[0]
+    cache = RecordCache(root)
+    for i in range(n):
+        cache.append({f"w{worker}-{i:03d}": record})
+
+
+class TestConcurrentWriters:
+    def test_two_processes_appending_keep_every_record(self, tmp_path):
+        """Two sweeps sharing one cache directory: the exclusive flock
+        serialises their appends, so no header switch drops the other
+        process's records."""
+        n = 40
+        ctx = multiprocessing.get_context("fork")
+        procs = [ctx.Process(target=_append_many, args=(tmp_path, w, n))
+                 for w in (0, 1)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(60)
+            assert proc.exitcode == 0
+        cache = RecordCache(tmp_path)
+        keys = [f"w{w}-{i:03d}" for w in (0, 1) for i in range(n)]
+        assert len(cache) == 2 * n
+        assert all(r is not None for r in cache.load(keys))
+        assert cache.quarantined == 0
 
 
 class TestConcurrentQuarantine:
@@ -192,7 +208,7 @@ class TestConcurrentQuarantine:
             victim = sub / "victim.json"
             victim.write_bytes(contents[i])
             victims.append(victim)
-        caches = [InstanceCache(tmp_path) for _ in range(n)]
+        caches = [RecordCache(tmp_path) for _ in range(n)]
         barrier = threading.Barrier(n)
         errors = []
 
@@ -219,9 +235,7 @@ class TestConcurrentQuarantine:
 
 class TestPackShards:
     def config(self):
-        return sweep_config(
-            dataset(), DEVICES, True, None, 0, "fp64", True, False
-        )
+        return sweep_config(dataset(), DEVICES, True, None, 0, "fp64")
 
     def test_journalled_pack_sweep_and_resume(self, golden_and_packed_cache,
                                               tmp_path):

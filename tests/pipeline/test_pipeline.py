@@ -1,4 +1,4 @@
-"""Pipeline engine + cache: determinism, round-trips, sharding.
+"""Pipeline engine + record cache: determinism, round-trips, sharding.
 
 The sweep tests run on a strided cross-section of the tiny preset (every
 bin and feature axis is represented) so the suite stays fast; set
@@ -7,14 +7,16 @@ bin and feature axis is represented) so the suite stays fast; set
 
 import os
 
-import numpy as np
 import pytest
 
-from repro.core.dataset import Dataset, sweep
+from repro.core.dataset import Dataset, spec_rows, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
+from repro.core.table import SweepTable
 from repro.devices import TESTBEDS
-from repro.pipeline import InstanceCache, run_sweep, resolve_jobs, spec_key
+from repro.perfmodel.batch import _GridPlan
+from repro.perfmodel.record import SpecRecord, build_records
+from repro.pipeline import RecordCache, run_sweep, resolve_jobs, spec_key
 
 DEVICES = [TESTBEDS["AMD-EPYC-24"], TESTBEDS["Tesla-A100"]]
 MAX_NNZ = 6_000
@@ -23,11 +25,14 @@ TINY = build_dataset_specs("tiny")
 SPECS = TINY if os.environ.get("REPRO_EXHAUSTIVE") == "1" else TINY[::7]
 
 
-def tiny_dataset(specs=None, cache=None):
+def tiny_dataset(specs=None, name="tiny"):
     return Dataset(
-        SPECS if specs is None else specs,
-        max_nnz=MAX_NNZ, name="tiny", cache=cache,
+        SPECS if specs is None else specs, max_nnz=MAX_NNZ, name=name,
     )
+
+
+def one_record(spec, devices=DEVICES):
+    return build_records([spec], MAX_NNZ, _GridPlan(devices))[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +68,20 @@ class TestParallelDeterminism:
         assert par.rows == serial_table.rows
 
     def test_precision_threads_through_every_engine(self, serial_table):
-        """``precision`` reaches the scalar and batched paths in serial
-        and parallel runs alike — identical rows, different from fp64."""
+        """``precision`` reaches the serial and parallel sweeps and the
+        scalar reference alike — identical rows, different from fp64."""
         fp32 = sweep(tiny_dataset(), DEVICES, precision="fp32")
         assert fp32.rows != serial_table.rows
         assert sweep(
             tiny_dataset(), DEVICES, precision="fp32", jobs=2
         ).rows == fp32.rows
-        assert sweep(
-            tiny_dataset(), DEVICES, precision="fp32", batch=False
+        dataset = tiny_dataset()
+        scalar = [
+            row for i in range(len(dataset))
+            for row in spec_rows(dataset, i, DEVICES, precision="fp32")
+        ]
+        assert SweepTable.from_rows(scalar).with_constant(
+            "precision", "fp32"
         ).rows == fp32.rows
 
     def test_progress_reports_monotonic_totals(self):
@@ -96,11 +106,11 @@ class TestCache:
     def test_cold_then_warm_rows_identical(self, serial_table, cache_dir):
         cold = sweep(tiny_dataset(), DEVICES, cache_dir=cache_dir)
         assert cold.rows == serial_table.rows
-        # A fresh dataset + fresh cache handle: everything reloads from
+        # A fresh dataset + fresh cache handle: every record reloads from
         # disk, nothing is regenerated.
         warm = sweep(tiny_dataset(), DEVICES, cache_dir=cache_dir)
         assert warm.rows == serial_table.rows
-        assert len(InstanceCache(cache_dir)) == len(SPECS)
+        assert len(RecordCache(cache_dir)) == len(SPECS)
 
     def test_parallel_with_shared_cache_matches_serial(
         self, serial_table, cache_dir
@@ -109,132 +119,117 @@ class TestCache:
         assert par.rows == serial_table.rows
 
     def test_batched_sweep_persists_derived_state(self, tmp_path):
-        """Regression: the batch engine must write cache entries *after*
-        grid scoring, so the persisted instances carry the features,
-        format stats and SIMD/imbalance memos the scoring computed —
-        otherwise every warm sweep re-derives all of it."""
+        """The persisted records carry the features, format stats and
+        SIMD/imbalance values the scoring needed — otherwise every warm
+        sweep would re-derive them."""
         dev = TESTBEDS["INTEL-XEON"]
         sweep(tiny_dataset(specs=SPECS[:2]), [dev],
               cache_dir=str(tmp_path))
-        for spec in SPECS[:2]:
-            restored = InstanceCache(tmp_path).fetch(spec, MAX_NNZ)
+        keys = [spec_key(spec, MAX_NNZ) for spec in SPECS[:2]]
+        for restored in RecordCache(tmp_path).load(keys):
             assert restored is not None
-            assert restored._features is not None
+            assert restored.features.nnz > 0
             assert set(dev.formats) <= (
-                set(restored._format_stats) | set(restored._format_fail)
+                set(restored.stats) | set(restored.refusals)
             )
-            assert dev.simd_width_dp in restored._simd_util
-            assert restored._imbalance
+            assert dev.simd_width_dp in restored.simd
+            assert restored.imbalance
 
-    def test_instance_roundtrip_exact(self, tmp_path):
+    def test_record_roundtrip_exact(self, tmp_path):
         spec = TINY[0]
-        cache = InstanceCache(tmp_path)
-        ds = tiny_dataset(specs=[spec])
-        inst = ds.instance(0)
-        inst.features  # populate every derived quantity
-        inst.row_profile()
-        inst.format_stats("Naive-CSR")
-        inst.simd_utilisation(8)
-        inst.imbalance("row_block", 16, 8)
-        assert cache.store(spec, MAX_NNZ, inst)
-
-        restored = InstanceCache(tmp_path).fetch(
-            spec, MAX_NNZ, name=inst.name
-        )
-        assert restored is not None
-        assert restored.matrix == inst.matrix
-        assert restored.features == inst.features
-        np.testing.assert_array_equal(
-            restored.row_profile(), inst.row_profile()
-        )
-        assert (
-            restored.format_stats("Naive-CSR")
-            == inst.format_stats("Naive-CSR")
-        )
-        assert restored.simd_utilisation(8) == inst.simd_utilisation(8)
-        assert restored.imbalance("row_block", 16, 8) == inst.imbalance(
-            "row_block", 16, 8
-        )
+        record = one_record(spec)
+        assert record.simd and record.imbalance
+        key = spec_key(spec, MAX_NNZ)
+        assert RecordCache(tmp_path).append({key: record}) == 1
+        [restored] = RecordCache(tmp_path).load([key])
+        assert restored == record
+        assert SpecRecord.from_bytes(record.to_bytes()) == record
 
     def test_store_skips_unchanged_entries(self, tmp_path):
         spec = TINY[1]
-        cache = InstanceCache(tmp_path)
-        ds = tiny_dataset(specs=[spec], cache=cache)
-        inst = ds.instance(0)
-        inst.features
-        assert cache.store(spec, MAX_NNZ, inst) is True
-        assert cache.store(spec, MAX_NNZ, inst) is False  # signature equal
-        inst.format_stats("COO")  # new derived state -> dirty again
-        assert cache.store(spec, MAX_NNZ, inst) is True
+        key = spec_key(spec, MAX_NNZ)
+        cache = RecordCache(tmp_path)
+        assert cache.append({key: one_record(spec)}) == 1
+        size = cache.pack_path.stat().st_size
+        assert cache.append({key: one_record(spec)}) == 0  # identical
+        assert cache.pack_path.stat().st_size == size
+        # A warm sweep appends nothing either.
+        sweep(tiny_dataset(specs=[spec]), DEVICES, cache_dir=str(tmp_path))
+        assert cache.pack_path.stat().st_size == size
 
     def test_fetch_renames_instance(self, tmp_path):
-        spec = TINY[2]
-        cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="a").instance(0)
-        cache.store(spec, MAX_NNZ, inst)
-        got = cache.fetch(spec, MAX_NNZ, name="b[0]")
-        assert got is not None and got.name == "b[0]"
-        # A memory hit under a different name must not rename the instance
-        # other datasets hold (names seed the measurement noise)...
-        again = cache.fetch(spec, MAX_NNZ, name="c[0]")
-        assert again.name == "c[0]" and got.name == "b[0]"
-        # ...while derived state still flows into the shared cache entry.
-        again.format_stats("COO")
-        assert "COO" in got._format_stats
+        """Records carry no name: one cached record serves datasets of
+        any name, and each gets its own row labels and noise."""
+        specs = [TINY[2]]
+        cache_dir = str(tmp_path)
+        a = sweep(tiny_dataset(specs, name="a"), DEVICES,
+                  cache_dir=cache_dir)
+        cache = RecordCache(tmp_path)
+        b = run_sweep(tiny_dataset(specs, name="b"), DEVICES, cache=cache)
+        assert cache.hits == 1 and cache.misses == 0
+        assert b.rows == sweep(tiny_dataset(specs, name="b"), DEVICES).rows
+        assert b.unique("matrix") == ["b[0]"]
+        assert a.column("gflops").tolist() != b.column("gflops").tolist()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = TINY[3]
-        cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache.store(spec, MAX_NNZ, inst)
-        for p in tmp_path.glob("*.json"):
-            p.write_text("{ not json")
-        fresh = InstanceCache(tmp_path)
-        assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
+        key = spec_key(spec, MAX_NNZ)
+        RecordCache(tmp_path).append({key: one_record(spec)})
+        pack = RecordCache(tmp_path).pack_path
+        data = pack.read_bytes()
+        start = data.index(b'{"features"')
+        pack.write_bytes(data[:start] + b"{ not json" + data[start + 10:])
+        fresh = RecordCache(tmp_path)
+        assert fresh.load([key]) == [None]
+        assert fresh.quarantined == 1
 
-    def test_corrupt_npz_is_a_miss_and_heals(self, tmp_path):
+    def test_corrupt_record_is_a_miss_and_heals(self, tmp_path):
         spec = TINY[3]
-        cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache.store(spec, MAX_NNZ, inst)
-        npz = next(tmp_path.glob("*.npz"))
-        npz.write_bytes(b"garbage, not a zip archive")
-        fresh = InstanceCache(tmp_path)
-        assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
-        assert not npz.exists()  # cleared so the next store rewrites it
-        assert fresh.store(spec, MAX_NNZ, inst) is True
-        assert InstanceCache(tmp_path).fetch(
-            spec, MAX_NNZ, name="x[0]"
-        ) is not None
+        key = spec_key(spec, MAX_NNZ)
+        record = one_record(spec)
+        RecordCache(tmp_path).append({key: record})
+        pack = RecordCache(tmp_path).pack_path
+        data = bytearray(pack.read_bytes())
+        data[data.index(b'"nnz"')] ^= 0xFF
+        pack.write_bytes(bytes(data))
+        fresh = RecordCache(tmp_path)
+        assert fresh.load([key]) == [None]
+        assert len(fresh) == 0
+        # Same bytes as the damaged record's checksum, but the stored
+        # copy is damaged: the append must not be skipped as a repeat.
+        assert fresh.append({key: record}) == 1
+        assert RecordCache(tmp_path).load([key]) == [record]
 
     def test_memo_change_rewrites_json_only(self, tmp_path):
+        """A record that gains a key (a new device) is appended as one
+        small JSON record; the bytes already written stay untouched."""
         spec = TINY[3]
-        cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        inst.features
-        inst.row_profile()
-        inst.simd_utilisation(8)
-        cache.store(spec, MAX_NNZ, inst)
-        warm = InstanceCache(tmp_path)
-        got = warm.fetch(spec, MAX_NNZ, name="x[0]")
-        npz = next(tmp_path.glob("*.npz"))
-        mtime = npz.stat().st_mtime_ns
-        got.simd_utilisation(32)  # derived memo only
-        assert warm.store(spec, MAX_NNZ, got) is True
-        assert npz.stat().st_mtime_ns == mtime  # matrix payload untouched
+        key = spec_key(spec, MAX_NNZ)
+        sweep(tiny_dataset(specs=[spec]), DEVICES[:1],
+              cache_dir=str(tmp_path))
+        pack = RecordCache(tmp_path).pack_path
+        before = pack.read_bytes()
+        [old] = RecordCache(tmp_path).load([key])
+        sweep(tiny_dataset(specs=[spec]), DEVICES, cache_dir=str(tmp_path))
+        after = pack.read_bytes()
+        # Blob region untouched; only the header switched tables.
+        assert after[64:len(before) - 136] == before[64:-136]
+        assert len(after) - len(before) < 16_384
+        [new] = RecordCache(tmp_path).load([key])
+        assert set(old.imbalance) < set(new.imbalance)
 
 
 class TestRunSweepDirect:
     def test_run_sweep_accepts_cache_object(self, tmp_path):
         specs = SPECS[:6]
         reference = run_sweep(tiny_dataset(specs=specs), DEVICES)
-        cache = InstanceCache(tmp_path)
+        cache = RecordCache(tmp_path)
         table = run_sweep(tiny_dataset(specs=specs), DEVICES, cache=cache)
         assert table.rows == reference.rows
-        assert cache.misses > 0
+        assert cache.misses == len(specs)
         again = run_sweep(tiny_dataset(specs=specs), DEVICES, cache=cache)
         assert again.rows == reference.rows
-        assert cache.hits_memory > 0
+        assert cache.hits == len(specs)
 
     def test_empty_dataset(self):
         table = run_sweep(

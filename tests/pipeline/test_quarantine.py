@@ -1,11 +1,12 @@
 """Cache corruption → quarantine: never silent deletion, never bad data.
 
-A corrupt ``<key>.npz``/``.json`` pair anywhere in the corpus must (a)
-leave the sweep bit-identical to a clean run — the entry is treated as a
-miss and rematerialised — and (b) move the damaged files into
-``quarantine/`` so the evidence survives for inspection.
+A corrupt record anywhere in the pack must (a) leave the sweep
+bit-identical to a clean run — the record is treated as a miss, rebuilt
+and re-appended — and (b) copy the damaged bytes into ``quarantine/``
+so the evidence survives for inspection.
 """
 
+import random
 import shutil
 
 import pytest
@@ -13,7 +14,10 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
-from repro.pipeline import InstanceCache, RunReport, corrupt_file, run_sweep
+from repro.io.pack import Pack, append_entries
+from repro.pipeline import RecordCache, RunReport, run_sweep
+from repro.pipeline.cache import PACK_NAME, RECORD_KIND
+from repro.pipeline.faults import corrupt_file, corrupt_span
 
 from tests.pipeline.golden import assert_bit_identical
 
@@ -22,8 +26,8 @@ MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::29]  # 7 specs
 
 
-def dataset(cache=None):
-    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny", cache=cache)
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
 
 
 @pytest.fixture(scope="module")
@@ -33,54 +37,79 @@ def golden_and_warm_cache(tmp_path_factory):
     return table, warm
 
 
+def damage_record(cache_dir, pos, mode, layer="checksum"):
+    """Damage the ``pos``-th live record; returns its key.
+
+    ``checksum`` damages the stored bytes in place, so the pack's
+    SHA-256 catches it.  ``parse`` appends a damaged copy of the record
+    under a fresh checksum, so only the record parser can catch it.
+    """
+    pack_path = cache_dir / PACK_NAME
+    with Pack.open(pack_path) as pack:
+        key = pack.keys()[pos]
+        entry = pack.entry(key)
+        payload = bytes(pack.read(key))
+    if layer == "checksum":
+        corrupt_span(pack_path, entry.offset, entry.csize, mode=mode,
+                     rng=random.Random(0))
+    else:
+        torn = cache_dir.parent / "torn-record.json"
+        torn.write_bytes(payload)
+        corrupt_file(torn, mode=mode, rng=random.Random(0))
+        append_entries(pack_path, [(key, RECORD_KIND, torn.read_bytes())])
+    return key
+
+
 class TestQuarantine:
-    @pytest.mark.parametrize("suffix", [".npz", ".json"])
+    # The case ids keep the suffixes of the old loose-pair layout: the
+    # binary ``.npz`` half maps to checksum damage, the ``.json`` half
+    # to a record that is stored intact but does not parse.
+    @pytest.mark.parametrize("layer", ["checksum", "parse"],
+                             ids=[".npz", ".json"])
     @pytest.mark.parametrize("mode", ["truncate", "flip"])
     def test_corrupt_entry_mid_corpus(self, golden_and_warm_cache,
-                                      tmp_path, suffix, mode):
+                                      tmp_path, layer, mode):
         golden, warm = golden_and_warm_cache
         cache_dir = tmp_path / "cache"
         shutil.copytree(warm, cache_dir)
-        victims = sorted(cache_dir.glob(f"*{suffix}"))
-        victim = victims[len(victims) // 2]
-        corrupt_file(victim, mode=mode)
+        key = damage_record(cache_dir, len(SPECS) // 2, mode, layer)
 
-        cache = InstanceCache(cache_dir)
+        cache = RecordCache(cache_dir)
         rep = RunReport()
         table = run_sweep(dataset(), DEVICES, cache=cache, report=rep)
         assert_bit_identical(table, golden)
         assert cache.quarantined == 1
         assert rep.cache_quarantined == 1
-        # Both halves of the pair moved together (only valid as a pair).
         moved = sorted(p.name for p in cache.quarantine_dir.iterdir())
-        assert victim.name in moved
-        assert len(moved) == 2
-        # The entry healed: the full corpus is back on disk, and the
-        # quarantine subdirectory does not inflate the census.
-        assert len(InstanceCache(cache_dir)) == len(SPECS)
+        assert moved == [f"{key}.json"]
+        # The record healed: a fresh handle reads the whole corpus, and
+        # the quarantine subdirectory does not inflate the count.
+        fresh = RecordCache(cache_dir)
+        assert len(fresh) == len(SPECS)
+        assert all(r is not None for r in fresh.load([key]))
 
-    def test_collisions_get_suffixes_not_overwritten(self, tmp_path):
-        spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
+    def test_collisions_get_suffixes_not_overwritten(
+            self, golden_and_warm_cache, tmp_path):
+        _, warm = golden_and_warm_cache
+        shutil.copytree(warm, tmp_path / "cache")
+        cache_dir = tmp_path / "cache"
         for _ in range(2):
-            store = InstanceCache(tmp_path)
-            store.store(spec, MAX_NNZ, inst)
-            next(tmp_path.glob("*.json")).write_text("{ torn")
-            fresh = InstanceCache(tmp_path)
-            assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
+            key = damage_record(cache_dir, 0, "flip")
+            fresh = RecordCache(cache_dir)
+            assert fresh.load([key]) == [None]
             assert fresh.quarantined == 1
-        names = sorted(p.name for p in (tmp_path / "quarantine").iterdir())
-        # npz+json moved twice; the second pair picked up ``.1`` suffixes
-        # instead of clobbering the first round's evidence.
-        assert len(names) == 4
-        assert sum(n.endswith(".1") for n in names) == 2
-        assert len(InstanceCache(tmp_path)) == 0
+            run_sweep(dataset(), DEVICES, cache=fresh)  # heals the record
+        names = sorted(p.name for p in (cache_dir / "quarantine").iterdir())
+        # The second round's evidence picked up a ``.1`` suffix instead
+        # of clobbering the first round's.
+        assert names == [f"{key}.json", f"{key}.json.1"]
+        assert len(RecordCache(cache_dir)) == len(SPECS)
 
     def test_worker_side_corrupt_fault(self, golden_and_warm_cache,
                                        tmp_path):
-        """A ``corrupt`` fault fired inside a crew worker damages the
-        fault chunk's own cache entry; the worker quarantines it, re-
-        materialises, and its quarantine count reaches the RunReport."""
+        """A ``corrupt`` fault fired inside a crew worker damages one of
+        the fault chunk's own records; the worker quarantines it,
+        rebuilds it, and its quarantine count reaches the RunReport."""
         golden, warm = golden_and_warm_cache
         cache_dir = tmp_path / "cache"
         shutil.copytree(warm, cache_dir)
@@ -89,5 +118,13 @@ class TestQuarantine:
                           faults="corrupt@1;seed=3",
                           cache_dir=str(cache_dir), report=rep)
         assert_bit_identical(table, golden)
-        assert rep.cache_quarantined >= 1
+        assert rep.cache_quarantined == 1
         assert list((cache_dir / "quarantine").iterdir())
+        # The parent appended the rebuilt record: the next run is clean.
+        rep2 = RunReport()
+        assert_bit_identical(
+            run_sweep(dataset(), DEVICES, cache_dir=str(cache_dir),
+                      report=rep2),
+            golden,
+        )
+        assert rep2.cache_quarantined == 0

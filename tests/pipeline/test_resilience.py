@@ -34,8 +34,8 @@ MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::13]  # 14 specs -> 8 chunks at jobs=2
 
 
-def dataset(cache=None):
-    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny", cache=cache)
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
 
 
 @pytest.fixture(scope="module")

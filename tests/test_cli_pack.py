@@ -1,7 +1,5 @@
 """CLI pack/unpack/ls: byte-identical round trips + actionable errors."""
 
-import shutil
-
 import pytest
 
 from repro.cli import main
@@ -26,51 +24,28 @@ def warm_cache(tmp_path_factory):
 
 
 class TestCachePackRoundTrip:
-    def test_pack_unpack_byte_identical(self, warm_cache, tmp_path,
+    def test_pack_cache_dir_exits_2(self, warm_cache, capsys):
+        """A cache directory already is one pack: `repro pack` refuses
+        it and points at `repro ls`."""
+        rc = main(["pack", str(warm_cache)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "records.rpak" in err and "repro ls" in err
+
+    def test_unpack_record_pack_exits_2(self, warm_cache, tmp_path,
                                         capsys):
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(warm_cache, cache_dir)
-        originals = {
-            p.name: p.read_bytes()
-            for p in cache_dir.iterdir() if p.is_file()
-        }
-        pack_path = cache_dir / "cache.rpak"
-        assert main(["pack", str(cache_dir)]) == 0
-        assert "packed" in capsys.readouterr().out
-        assert pack_path.exists()
+        rc = main(["unpack", str(warm_cache / "records.rpak"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "no loose form" in capsys.readouterr().err
 
-        out_dir = tmp_path / "restored"
-        assert main(["unpack", str(pack_path),
-                     "--out", str(out_dir)]) == 0
-        restored = {
-            p.name: p.read_bytes() for p in out_dir.iterdir()
-        }
-        assert restored == originals
-
-    def test_pack_prune_serves_from_pack_alone(self, warm_cache,
-                                               tmp_path):
-        from repro.pipeline import InstanceCache
-
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(warm_cache, cache_dir)
-        assert main(["pack", str(cache_dir), "--prune"]) == 0
-        assert not list(cache_dir.glob("*.npz"))
-        cache = InstanceCache(cache_dir)
-        assert len(cache) == len(SPECS)
-        assert cache.fetch(SPECS[0], MAX_NNZ, name="tiny[0]") is not None
-        assert cache.hits_pack == 1
-
-    def test_ls_lists_entries(self, warm_cache, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(warm_cache, cache_dir)
-        main(["pack", str(cache_dir)])
-        capsys.readouterr()
-        assert main(["ls", str(cache_dir / "cache.rpak"),
+    def test_ls_lists_entries(self, warm_cache, capsys):
+        assert main(["ls", str(warm_cache / "records.rpak"),
                      "--verify"]) == 0
         out = capsys.readouterr().out
-        assert f"{2 * len(SPECS)} entries" in out
+        assert f"{len(SPECS)} entries" in out
         assert "all checksums verified" in out
-        assert out.count(".npz") == len(SPECS)
+        assert out.count("record") >= len(SPECS)
 
     def test_pack_missing_dir_exits_2(self, tmp_path, capsys):
         rc = main(["pack", str(tmp_path / "nope")])
@@ -113,7 +88,9 @@ class TestTablePackRoundTrip:
             "--max-nnz", str(MAX_NNZ), "--out", str(table_path),
         ])
         capsys.readouterr()
-        assert main(["pack", str(table_path), "--prune"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pack", str(table_path), "--prune"])
+        assert exit_info.value.code == 2
         assert "--prune" in capsys.readouterr().err
 
 

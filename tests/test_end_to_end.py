@@ -1,20 +1,21 @@
 """Golden end-to-end regression: sweep -> fit -> evaluate.
 
-The whole chain — dataset materialisation, grid scoring, selector
-training, batched evaluation — must produce *identical* results across
-every execution engine: serial vs parallel sweeps, batched vs scalar
-grid scoring, analytic vs materialised format stats, batched vs scalar
-selector evaluation.  Any drift in any layer shows up here as a
+The whole chain — sweep, selector training, batched evaluation — must
+produce *identical* results across every execution engine: serial vs
+parallel sweeps, the record sweep vs the scalar and batched instance
+reference paths, analytic vs materialised format stats, batched vs
+scalar selector evaluation.  Any drift in any layer shows up here as a
 field-level diff of the SelectionReport (and of the raw measurement
 rows, checked first for a sharper failure signal).
 """
 
 import pytest
 
-from repro.core.dataset import Dataset, sweep
+from repro.core.dataset import Dataset, grid_spec_table, spec_rows, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.experiments import ExperimentSpec, run_experiment
+from repro.core.table import SweepTable
 from repro.ml import FormatSelector, KNeighborsRegressor
 
 N_SPECS = 8
@@ -29,23 +30,32 @@ def _dataset():
     )
 
 
-def _chain(jobs=1, batch=True, stats_engine="analytic", eval_batch=True,
+def _table(jobs=1, engine="sweep", stats_engine="analytic",
            cache_dir=None):
-    """One full sweep -> fit -> evaluate pass; returns (rows, report)."""
+    """The golden sweep through the production path (``engine="sweep"``)
+    or one of the instance reference paths: the scalar ``spec_rows``
+    loop or the batched ``grid_spec_table``."""
     from repro.perfmodel.instance import MatrixInstance
 
     assert MatrixInstance.stats_engine == "analytic"  # default unchanged
     dataset = _dataset()
-    if stats_engine != "analytic":
-        # Pin the engine on the concrete instances (serial runs only —
-        # worker processes would re-materialise with the class default).
-        assert jobs == 1
-        for i in range(len(dataset)):
-            dataset.instance(i).stats_engine = stats_engine
-    table = sweep(
-        dataset, [TESTBEDS[DEVICE]], best_only=False, seed=0,
-        jobs=jobs, batch=batch, cache_dir=cache_dir,
-    )
+    devices = [TESTBEDS[DEVICE]]
+    if engine == "sweep":
+        return sweep(dataset, devices, best_only=False, seed=0,
+                     jobs=jobs, cache_dir=cache_dir)
+    for i in range(len(dataset)):
+        dataset.instance(i).stats_engine = stats_engine
+    if engine == "grid":
+        return grid_spec_table(dataset, 0, len(dataset), devices,
+                               best_only=False)
+    rows = [row for i in range(len(dataset))
+            for row in spec_rows(dataset, i, devices, best_only=False)]
+    return SweepTable.from_rows(rows).with_constant("precision", "fp64")
+
+
+def _chain(eval_batch=True, **engine):
+    """One full sweep -> fit -> evaluate pass; returns (rows, report)."""
+    table = _table(**engine)
     rows = table.rows
     names = sorted({r["matrix"] for r in rows})
     train = [r for r in rows if r["matrix"] in names[: N_SPECS // 2]]
@@ -88,12 +98,12 @@ class TestGoldenChain:
         assert report == golden[1]
 
     def test_scalar_grid_matches_batched(self, golden):
-        rows, report = _chain(batch=False)
+        rows, report = _chain(engine="scalar")
         assert rows == golden[0]
         assert report == golden[1]
 
     def test_materialised_stats_match_analytic(self, golden):
-        rows, report = _chain(stats_engine="materialise")
+        rows, report = _chain(engine="grid", stats_engine="materialise")
         assert rows == golden[0]
         assert report == golden[1]
 
@@ -113,7 +123,6 @@ class TestGoldenExperiment:
         )
         reference = run_experiment(spec).to_json()
         assert run_experiment(spec, jobs=2).to_json() == reference
-        assert run_experiment(spec, batch=False).to_json() == reference
         cache = str(tmp_path / "cache")
         assert run_experiment(spec, cache_dir=cache).to_json() == reference
         assert run_experiment(spec, cache_dir=cache).to_json() == reference
