@@ -1,13 +1,18 @@
-"""Rewrite the golden sweep table and its SHA-256.
+"""Rewrite the golden sweep table, the single-matrix golden and their
+SHA-256 files.
 
     PYTHONPATH=src python -m tests.golden.regenerate
 
 Run from the repository root, and only when a change to the sweep rows
-is intended; say why in ``CHANGES.md``.
+or the single-matrix results is intended; say why in ``CHANGES.md``.
 """
 
 from tests.golden.golden import (
     SHA_PATH, TABLE_PATH, canonical_csv, golden_sweep, sha256,
+)
+from tests.golden.single import (
+    SINGLE_PATH, SINGLE_SHA_PATH, VALIDATE_PATH, sha_text, single_csv,
+    validate_stdout,
 )
 
 
@@ -16,6 +21,14 @@ def main() -> None:
     TABLE_PATH.write_bytes(data)
     SHA_PATH.write_text(f"{sha256(data)}  {TABLE_PATH.name}\n")
     print(f"wrote {TABLE_PATH} ({len(data)} bytes) and {SHA_PATH}")
+
+    single = single_csv()
+    validate = validate_stdout()
+    SINGLE_PATH.write_bytes(single)
+    VALIDATE_PATH.write_bytes(validate)
+    SINGLE_SHA_PATH.write_text(sha_text(single, validate))
+    print(f"wrote {SINGLE_PATH} ({len(single)} bytes), {VALIDATE_PATH} "
+          f"and {SINGLE_SHA_PATH}")
 
 
 if __name__ == "__main__":
