@@ -7,7 +7,8 @@ ELL/SELL-C-sigma/DIA/BCSR, scatter passes for the rest — only to reduce
 the result to six numbers; the analytic engine
 (`SparseFormat.stats_from_csr`) computes the same six numbers straight
 from the CSR structure arrays.  This bench times both engines on fresh
-instance pools over the full testbed format union, asserts the stats
+pools of oracle instances (``tests/oracles``, which keep the engine
+switch) over the full testbed format union, asserts the stats
 (and refusals) are identical cell-for-cell, gates the analytic path at
 >= 5x instance throughput, and records the presorted selector-tree
 training speedup.  Results land in
@@ -28,9 +29,9 @@ import numpy as np
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.formats.base import FormatError
-from repro.perfmodel import MatrixInstance
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
+from tests.oracles.instance import OracleInstance
 
 BENCH_PATH = RESULTS_DIR / "BENCH_cold_sweep.json"
 
@@ -49,7 +50,7 @@ def _instances(engine: str):
     """Fresh pool (cold structural caches) pinned to one stats engine."""
     specs = build_dataset_specs(SCALE)
     pool = [
-        MatrixInstance.from_spec(s, max_nnz=MAX_NNZ, name=f"cold[{k}]")
+        OracleInstance.from_spec(s, max_nnz=MAX_NNZ, name=f"cold[{k}]")
         for k, s in enumerate(specs)
     ]
     for inst in pool:

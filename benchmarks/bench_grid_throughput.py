@@ -1,14 +1,16 @@
 """Grid scoring throughput — batched simulator vs the scalar triple loop.
 
 Times :func:`repro.perfmodel.simulate_grid` against the equivalent scalar
-``simulate_spmv`` loop over the configured preset's instances x all nine
-testbeds x their Table-II format lists, cold and warm.  Cold is the real
-cold path each engine offers: the scalar leg pays instance
-materialisation plus the per-triple loop, the batched leg builds the
-sweep's per-spec records (:func:`repro.perfmodel.record.build_records`)
-— structure arrays and batched analytic stats straight from the specs,
-no ``MatrixInstance`` objects at all — and scores them.  Warm re-scores
-pools whose structural caches are already hot — the steady state of
+``simulate_spmv`` loop (the oracle in ``tests/oracles``) over the
+configured preset's instances x all nine testbeds x their Table-II
+format lists, cold and warm.  Cold is the real cold path each engine
+offers: the scalar leg pays instance materialisation plus the per-triple
+loop, the batched leg builds the sweep's per-spec records
+(:func:`repro.perfmodel.record.build_records`) — structure arrays and
+batched analytic stats straight from the specs, no ``MatrixInstance``
+objects at all — and scores them.  Warm re-scores pools whose
+measurements are already memoised (the scalar oracle's per-instance
+caches, the library's per-instance records) — the steady state of
 selector training and repeated sweeps.  Results land in
 ``benchmarks/results/BENCH_grid.json`` (mirrored to the repo-root
 ``BENCH_grid.json`` snapshot) next to the pipeline bench so the repo's
@@ -27,11 +29,13 @@ import time
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.formats.base import FormatError
-from repro.perfmodel import MatrixInstance, simulate_grid, simulate_spmv
+from repro.perfmodel import simulate_grid
 from repro.perfmodel.batch import _GridPlan, _score_grid
-from repro.perfmodel.record import RecordSource, build_records
+from repro.perfmodel.record import build_records
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
+from tests.oracles.instance import OracleInstance
+from tests.oracles.simulator import simulate_spmv
 
 BENCH_PATH = RESULTS_DIR / "BENCH_grid.json"
 # Committed snapshot at the repo root (also a CI artifact).
@@ -89,7 +93,7 @@ def test_grid_vs_scalar_throughput():
         # loop — scoring never-seen specs without batching.
         t0 = time.perf_counter()
         pool = [
-            MatrixInstance.from_spec(s, max_nnz=MAX_NNZ, name=nm)
+            OracleInstance.from_spec(s, max_nnz=MAX_NNZ, name=nm)
             for s, nm in zip(sub, names)
         ]
         rows = _scalar_loop(pool)
@@ -104,12 +108,13 @@ def test_grid_vs_scalar_throughput():
         # all.  Names match the scalar pool so noise keys (hence rows)
         # agree.
         t0 = time.perf_counter()
-        records = build_records(sub, MAX_NNZ, _GridPlan(DEVICES))
-        cold_grid = _score_grid(
-            RecordSource(records, names), DEVICES, seed=SEED,
-        )
+        plan = _GridPlan(DEVICES)
+        records = build_records(sub, MAX_NNZ, plan)
+        cold_grid = _score_grid(records, names, plan, seed=SEED)
         t_batch_cold += time.perf_counter() - t0
-        # Batched engine, warm: one vectorised pass over the hot pool.
+        # Batched engine, warm: one vectorised pass over the pool once
+        # each instance's record is memoised (the untimed first pass).
+        simulate_grid(pool, DEVICES, seed=SEED)
         t0 = time.perf_counter()
         grid = simulate_grid(pool, DEVICES, seed=SEED)
         t_batch_warm += time.perf_counter() - t0

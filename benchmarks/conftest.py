@@ -11,14 +11,21 @@ Each bench writes its regenerated rows/series to
 
 The sweeps run through the pipeline engine: ``REPRO_JOBS`` fans them out
 over worker processes (0 = auto-detect cores) and ``REPRO_CACHE_DIR``
-persists materialised instances so repeat bench runs start warm.  Both
-leave the measurement rows byte-identical to a serial, uncached sweep.
+persists per-spec measurement records so repeat bench runs start warm.
+Both leave the measurement rows byte-identical to a serial, uncached
+sweep.
+
+The repository root joins ``sys.path`` so benches can import their
+scalar baselines from ``tests/oracles``.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs

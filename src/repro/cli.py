@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the RunReport (retries, timeouts, "
                         "degraded chunks, quarantined cache entries, "
                         "per-phase wall-clock) as JSON")
-    w.add_argument("--dispatch", default=None,
-                   choices=("resilient", "pool"),
-                   help="parallel dispatch engine (default resilient; "
-                        "pool is the plain no-retry baseline)")
     w.add_argument("--pack-shards", action="store_true",
                    help="journal chunk shards into a single "
                         "shards.rpak pack instead of one file per "
@@ -436,7 +432,6 @@ def _cmd_sweep(args) -> int:
             pack_shards=args.pack_shards,
             faults=args.faults, chunk_timeout=args.chunk_timeout,
             max_retries=args.max_retries, report=report,
-            dispatch=args.dispatch,
             progress=lambda i, n: print(f"\r  {i}/{n}", end="",
                                         flush=True),
         )

@@ -1,23 +1,16 @@
-"""Dataset containers: specs, lazily materialised instances, sweeps.
+"""Dataset containers and sweeps.
 
-A :class:`Dataset` owns a list of specs and materialises
-:class:`~repro.perfmodel.instance.MatrixInstance` objects on demand for
-callers that want whole matrices.  The :func:`sweep` helper runs the
-simulator across devices/formats and returns a columnar
+A :class:`Dataset` owns a list of specs.  The :func:`sweep` helper runs
+the simulator across devices/formats and returns a columnar
 :class:`~repro.core.table.SweepTable` that the analysis, ml and
-experiment layers consume directly.
-
-Sweeps never materialise instances: :func:`records_table` scores a
-chunk from its per-spec measurement records
-(:mod:`repro.perfmodel.record`).  :func:`spec_rows` (scalar, dict
-rows), :func:`grid_spec_rows` (batched, dict rows) and
-:func:`grid_spec_table` (batched, columnar) score instances instead and
-remain the reference paths the agreement suites compare against.
+experiment layers consume directly.  Sweeps never materialise matrix
+instances: :func:`records_table` scores a chunk from its per-spec
+measurement records (:mod:`repro.perfmodel.record`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,14 +18,13 @@ from ..devices.base import Device
 from .generator import MatrixSpec
 from .table import SweepTable
 
-__all__ = ["Dataset", "sweep", "spec_rows", "grid_spec_rows",
-           "grid_spec_table", "records_table", "SweepTable"]
+__all__ = ["Dataset", "sweep", "records_table", "SweepTable"]
 
 DEFAULT_MAX_NNZ = 100_000
 
 
 class Dataset:
-    """A list of matrix specs with cached instances."""
+    """A list of matrix specs, generated at up to ``max_nnz`` nonzeros."""
 
     def __init__(
         self,
@@ -43,159 +35,9 @@ class Dataset:
         self.specs = list(specs)
         self.max_nnz = max_nnz
         self.name = name
-        self._instances: Dict[int, "MatrixInstance"] = {}
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def instance(self, i: int):
-        """The (cached) representative instance for spec ``i``."""
-        from ..perfmodel.instance import MatrixInstance
-
-        if i not in self._instances:
-            self._instances[i] = MatrixInstance.from_spec(
-                self.specs[i], max_nnz=self.max_nnz,
-                name=f"{self.name}[{i}]",
-            )
-        return self._instances[i]
-
-    def instances(self) -> Iterable:
-        for i in range(len(self)):
-            yield self.instance(i)
-
-    def drop_cache(self) -> None:
-        self._instances.clear()
-
-
-def _base_row(dataset: Dataset, i: int) -> dict:
-    """Per-spec columns shared by every measurement row of spec ``i``
-    (features at declared scale + requested grid coordinates).  Both the
-    scalar :func:`spec_rows` loop and the batched :func:`grid_spec_rows`
-    path build on this, which keeps their row schemas identical."""
-    inst = dataset.instance(i)
-    feats = inst.features
-    return {
-        "matrix": inst.name,
-        "spec_index": i,
-        "mem_footprint_mb": feats.mem_footprint_mb,
-        "avg_nnz_per_row": feats.avg_nnz_per_row,
-        "skew_coeff": feats.skew_coeff,
-        "cross_row_similarity": feats.cross_row_similarity,
-        "avg_num_neighbours": feats.avg_num_neighbours,
-        "nnz": feats.nnz,
-        "n_rows": feats.n_rows,
-        # requested (grid) coordinates, for exact binning
-        "req_footprint_mb": dataset.specs[i].mem_footprint_mb,
-        "req_avg_nnz": dataset.specs[i].avg_nnz_per_row,
-        "req_skew": dataset.specs[i].skew_coeff,
-        "req_sim": dataset.specs[i].cross_row_sim,
-        "req_neigh": dataset.specs[i].avg_num_neigh,
-    }
-
-
-def spec_rows(
-    dataset: Dataset,
-    i: int,
-    devices: Sequence[Device],
-    best_only: bool = True,
-    formats: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    precision: str = "fp64",
-) -> List[dict]:
-    """Measurement rows for spec ``i`` across ``devices`` — the scalar
-    reference path.
-
-    This is the unit of work of a sweep; the batched engine
-    (:func:`grid_spec_rows`, the :mod:`repro.pipeline` default) produces
-    row-for-row identical output through the vectorised grid simulator,
-    a property the grid agreement suite locks down.
-    """
-    from ..formats.base import FormatError
-    from ..perfmodel.simulator import simulate_best, simulate_spmv
-
-    inst = dataset.instance(i)
-    base = _base_row(dataset, i)
-    rows: List[dict] = []
-    for dev in devices:
-        names = list(formats) if formats else list(dev.formats)
-        if best_only:
-            m = simulate_best(inst, dev, formats=names, seed=seed,
-                              precision=precision)
-            if m is None:
-                continue
-            rows.append(
-                {**base, "device": dev.name, "format": m.format,
-                 "gflops": m.gflops, "watts": m.watts,
-                 "gflops_per_watt": m.gflops_per_watt,
-                 "bottleneck": m.bottleneck}
-            )
-        else:
-            for fmt in names:
-                try:
-                    m = simulate_spmv(inst, fmt, dev, seed=seed,
-                                      precision=precision)
-                except FormatError:
-                    continue
-                rows.append(
-                    {**base, "device": dev.name, "format": fmt,
-                     "gflops": m.gflops, "watts": m.watts,
-                     "gflops_per_watt": m.gflops_per_watt,
-                     "bottleneck": m.bottleneck}
-                )
-    return rows
-
-
-def grid_spec_rows(
-    dataset: Dataset,
-    lo: int,
-    hi: int,
-    devices: Sequence[Device],
-    best_only: bool = True,
-    formats: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    precision: str = "fp64",
-) -> List[dict]:
-    """Measurement rows for specs ``lo..hi`` via the batched grid
-    simulator — row-for-row identical to calling :func:`spec_rows` per
-    spec, but all (spec, device, format) cells are scored in one
-    vectorised pass."""
-    from ..perfmodel.batch import STATUS_OK, simulate_grid
-    from ..perfmodel.simulator import BOTTLENECKS
-
-    indices = list(range(lo, hi))
-    instances = [dataset.instance(i) for i in indices]
-    grid = simulate_grid(instances, devices, formats=formats, seed=seed,
-                         precisions=(precision,))
-
-    def measurement(idx: int) -> dict:
-        rec = grid.data[idx]
-        return {
-            "device": grid.device_names[rec["device"]],
-            "format": grid.format_names[rec["format"]],
-            "gflops": float(rec["gflops"]),
-            "watts": float(rec["watts"]),
-            "gflops_per_watt": float(rec["gflops_per_watt"]),
-            "bottleneck": BOTTLENECKS[rec["bottleneck"]],
-        }
-
-    rows: List[dict] = []
-    best = grid.best_per()[0] if best_only else None
-    for ci, i in enumerate(indices):
-        base = _base_row(dataset, i)
-        for d in range(len(devices)):
-            if best_only:
-                idx = int(best[ci, d])
-                if idx < 0:
-                    continue
-                rows.append({**base, **measurement(idx)})
-            else:
-                f_lo, f_hi = grid.device_slices[d]
-                for off in range(f_lo, f_hi):
-                    idx = grid.cell_index(0, ci, off)
-                    if grid.data[idx]["status"] != STATUS_OK:
-                        continue
-                    rows.append({**base, **measurement(idx)})
-    return rows
 
 
 def _first_seen_codes(values: np.ndarray, labels: Sequence[str]):
@@ -215,11 +57,10 @@ def _first_seen_codes(values: np.ndarray, labels: Sequence[str]):
 def _per_inst_columns(
     indices: Sequence[int],
     specs: Sequence[MatrixSpec],
-    features_of: Callable[[int], "object"],
+    features: Sequence,
 ) -> Dict[str, np.ndarray]:
-    """Per-spec scalar columns (measured features at declared scale plus
-    requested grid coordinates), gathered once per chunk member.
-    ``features_of`` maps a chunk-local index to its ``Features``."""
+    """Per-spec scalar columns (measured ``features`` at declared scale
+    plus requested grid coordinates), gathered once per chunk member."""
     n_inst = len(indices)
     per_inst = {
         "spec_index": np.empty(n_inst, dtype=np.int64),
@@ -237,7 +78,7 @@ def _per_inst_columns(
         "req_neigh": np.empty(n_inst),
     }
     for ci, i in enumerate(indices):
-        feats = features_of(ci)
+        feats = features[ci]
         spec = specs[i]
         per_inst["spec_index"][ci] = i
         per_inst["mem_footprint_mb"][ci] = feats.mem_footprint_mb
@@ -259,8 +100,7 @@ def _grid_sweep_table(
     grid, per_inst: Dict[str, np.ndarray], best_only: bool, precision: str
 ) -> SweepTable:
     """Assemble the measurement table from a scored grid plus the chunk's
-    per-spec scalar columns — shared by the instance and record paths,
-    so both emit byte-identical tables by construction."""
+    per-spec scalar columns."""
     from ..perfmodel.batch import STATUS_OK
     from ..perfmodel.simulator import BOTTLENECKS
 
@@ -299,35 +139,6 @@ def _grid_sweep_table(
     return SweepTable(columns, categories)
 
 
-def grid_spec_table(
-    dataset: Dataset,
-    lo: int,
-    hi: int,
-    devices: Sequence[Device],
-    best_only: bool = True,
-    formats: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    precision: str = "fp64",
-) -> SweepTable:
-    """Columnar measurement table for specs ``lo..hi`` scored from
-    materialised instances — the columnar reference path.
-
-    Row-for-row identical (via ``to_rows()``) to :func:`grid_spec_rows`
-    plus a constant ``precision`` column, and table-identical to the
-    production :func:`records_table`.
-    """
-    from ..perfmodel.batch import simulate_grid
-
-    indices = list(range(lo, hi))
-    instances = [dataset.instance(i) for i in indices]
-    grid = simulate_grid(instances, devices, formats=formats, seed=seed,
-                         precisions=(precision,))
-    per_inst = _per_inst_columns(
-        indices, dataset.specs, lambda ci: instances[ci].features
-    )
-    return _grid_sweep_table(grid, per_inst, best_only, precision)
-
-
 def records_table(
     dataset: Dataset,
     lo: int,
@@ -343,16 +154,14 @@ def records_table(
     :class:`~repro.perfmodel.record.SpecRecord` s — the production sweep
     path (the records must cover every cell of the grid; see
     :func:`~repro.perfmodel.record.chunk_records`)."""
-    from ..perfmodel.batch import _score_grid
-    from ..perfmodel.record import RecordSource
+    from ..perfmodel.batch import _GridPlan, _score_grid
 
     indices = list(range(lo, hi))
-    source = RecordSource(records, [f"{dataset.name}[{i}]" for i in indices])
-    grid = _score_grid(source, devices, formats=formats, seed=seed,
-                       precisions=(precision,))
-    per_inst = _per_inst_columns(
-        indices, dataset.specs, lambda ci: records[ci].features
+    grid = _score_grid(
+        records, [f"{dataset.name}[{i}]" for i in indices],
+        _GridPlan(devices, formats, (precision,)), seed=seed,
     )
+    per_inst = _per_inst_columns(indices, dataset.specs, grid.features)
     return _grid_sweep_table(grid, per_inst, best_only, precision)
 
 
@@ -373,7 +182,6 @@ def sweep(
     chunk_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     report=None,
-    dispatch: Optional[str] = None,
 ) -> SweepTable:
     """Simulate the dataset on every device.
 
@@ -398,10 +206,9 @@ def sweep(
     ``pack_shards`` stores them in a single ``shards.rpak`` pack),
     ``chunk_timeout``/``max_retries`` set the per-chunk deadline and
     retry budget, ``faults`` arms a deterministic
-    :class:`~repro.pipeline.faults.FaultPlan`, ``report`` receives a
-    filled :class:`~repro.pipeline.report.RunReport` and ``dispatch``
-    selects the resilient crew (default) or the plain pool baseline —
-    none of them change the merged rows.
+    :class:`~repro.pipeline.faults.FaultPlan` and ``report`` receives a
+    filled :class:`~repro.pipeline.report.RunReport` — none of them
+    change the merged rows.
     """
     from ..pipeline.engine import run_sweep
 
@@ -411,5 +218,5 @@ def sweep(
         precision=precision, run_dir=run_dir, resume=resume,
         pack_shards=pack_shards, faults=faults,
         chunk_timeout=chunk_timeout, max_retries=max_retries,
-        report=report, dispatch=dispatch,
+        report=report,
     )

@@ -6,7 +6,5 @@ from .testbeds import (
     TESLA_P100, TESLA_V100, TESLA_A100, ALVEO_U280,
 )
 from .roofline import RooflinePoint, roofline_bounds, spmv_operational_intensity
-from .cache import effective_bandwidth, x_access_model, XTraffic
 from .parallel import ImbalanceStats, imbalance_for_strategy, PARTITION_STRATEGIES
-from .energy import EnergyModel, PowerEstimate
 from .scaling import scale_device

@@ -1,103 +1,26 @@
-"""Two-level memory model: effective bandwidth and x-vector locality.
+"""Two-level memory model constants: effective bandwidth and x-vector
+locality.
 
 The paper's CPU story (Fig 3) is driven entirely by whether the working set
 fits the LLC; its GPU irregularity story (Fig 6) by whether scattered ``x``
-gathers waste memory transactions.  Both are modelled here:
+gathers waste memory transactions.  The record scorer
+(:func:`repro.perfmodel.batch._score_grid`) models both:
 
-* :func:`effective_bandwidth` — harmonic blend of LLC and DRAM bandwidth by
-  the fraction of the working set the cache can hold.
-* :func:`x_access_model` — per-access miss probability for the ``x``
-  gather, discounted by the two locality features (spatial: adjacent
-  columns share a cache line; temporal: adjacent rows reuse lines).
+* effective bandwidth — harmonic blend of LLC and DRAM bandwidth by the
+  fraction of the working set the cache can hold, which produces the sharp
+  performance "cutoff" past the LLC size;
+* x-gather locality — an ``x`` access misses only if the vector does not
+  fit its LLC budget, the access is not adjacent to the previous one in
+  the row (spatial: adjacent columns share a line) and it does not
+  re-touch a line the previous row loaded (temporal).  Each residual
+  miss pulls a full cache line; on GPUs every scattered lane also pulls
+  an L2 sector.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-from .base import Device
-
-__all__ = ["effective_bandwidth", "x_access_model", "XTraffic",
-           "CACHE_LINE_BYTES"]
+__all__ = ["CACHE_LINE_BYTES", "GPU_SECTOR_BYTES", "X_CACHE_FRACTION"]
 
 CACHE_LINE_BYTES = 64
 # Fraction of the LLC realistically available to x (the rest streams the
 # matrix through).
 X_CACHE_FRACTION = 0.5
-
-
-def effective_bandwidth(device: Device, working_set_bytes: float) -> float:
-    """Sustained bandwidth in GB/s for a streaming working set.
-
-    Working sets within the LLC run at the measured LLC bandwidth; beyond
-    it, the cached fraction is served fast and the remainder at DRAM speed
-    (harmonic mean — bytes, not time, are split).  This produces the sharp
-    performance "cutoff" past the LLC size that Fig 3 shows for every CPU.
-    """
-    if working_set_bytes <= 0:
-        return device.llc_bw_gbs
-    cached = min(1.0, device.llc_bytes / working_set_bytes)
-    inv = cached / device.llc_bw_gbs + (1.0 - cached) / device.dram_bw_gbs
-    return 1.0 / inv
-
-
 GPU_SECTOR_BYTES = 32  # L2 sector granularity of an uncoalesced lane
-
-
-@dataclass(frozen=True)
-class XTraffic:
-    """Result of the x-gather locality model."""
-
-    miss_rate: float       # probability an x access misses the cache
-    extra_bytes: float     # traffic beyond the compulsory x read
-    gather_efficiency: float  # useful fraction of each memory transaction
-    gather_bytes: float = 0.0  # L2/sector traffic of the gather itself (GPU)
-
-
-def x_access_model(
-    device: Device,
-    nnz: int,
-    n_cols: int,
-    avg_num_neighbours: float,
-    cross_row_similarity: float,
-    value_bytes: float = 8.0,
-) -> XTraffic:
-    """Model the irregular gather of the ``x`` vector.
-
-    Each of the ``nnz`` accesses hits the cache if (a) the whole vector fits
-    in the x-budget of the LLC, (b) the access is adjacent to the previous
-    one in the row (spatial locality, probability ``avg_num_neighbours/2``),
-    or (c) it re-touches a line the previous row loaded (temporal locality,
-    probability ``cross_row_similarity``).  Residual misses each pull a full
-    cache line of which 8 bytes are useful.
-    """
-    x_bytes = n_cols * value_bytes
-    budget = device.llc_bytes * X_CACHE_FRACTION
-    coverage = min(1.0, budget / x_bytes) if x_bytes > 0 else 1.0
-
-    spatial_hit = min(avg_num_neighbours / 2.0, 1.0)
-    temporal_hit = min(max(cross_row_similarity, 0.0), 1.0)
-    # An access misses only if it is not covered by capacity, not spatially
-    # adjacent and not a cross-row reuse.
-    miss = (1.0 - coverage) * (1.0 - spatial_hit) * (1.0 - temporal_hit)
-
-    extra = miss * nnz * max(CACHE_LINE_BYTES - value_bytes, 0.0)
-    # Transaction efficiency (GPU coalescing): a warp's gather touches
-    # distinct lines unless neighbours coalesce.
-    gather_eff = 8.0 / CACHE_LINE_BYTES + (1 - 8.0 / CACHE_LINE_BYTES) * (
-        spatial_hit + (1 - spatial_hit) * coverage
-    )
-    # GPU coalescing traffic: adjacent lanes (probability = spatial) share
-    # a transaction and cost 8 useful bytes; scattered lanes each pull a
-    # full L2 sector.  This is the dominant irregularity penalty on GPUs —
-    # it applies even when x fits L2, because it drains L2/LSU bandwidth.
-    gather_bytes = nnz * (
-        spatial_hit * value_bytes
-        + (1.0 - spatial_hit) * GPU_SECTOR_BYTES
-    )
-    return XTraffic(
-        miss_rate=miss,
-        extra_bytes=extra,
-        gather_efficiency=gather_eff,
-        gather_bytes=gather_bytes,
-    )

@@ -183,8 +183,8 @@ class SparseFormat(abc.ABC):
         """Analytic statistics: what ``from_csr(mat).stats()`` would return,
         without materialising the format.
 
-        The scoring path (:meth:`repro.perfmodel.MatrixInstance.format_stats`)
-        never touches a format's payload arrays, so built-in formats override
+        The scoring path (:mod:`repro.perfmodel.record`) never touches a
+        format's payload arrays, so built-in formats override
         this with closed-form computations over the CSR structure arrays —
         including the exact :class:`FormatError`/:class:`CapacityError`
         rejections ``from_csr`` would raise, with identical messages.  This

@@ -7,8 +7,9 @@ from .simulator import (
     SpmvMeasurement,
     simulate_best,
     simulate_best_detailed,
+    simulate_grid,
     simulate_spmv,
 )
-from .batch import GridResult, GridSkip, simulate_grid
-from .record import RecordSource, SpecRecord
-from .noise import measurement_noise, noise_factors, NOISE_SIGMA
+from .batch import GridResult, GridSkip
+from .record import SpecRecord
+from .noise import noise_factors, NOISE_SIGMA

@@ -1,23 +1,31 @@
-"""Batched grid simulation: every (instance, device, format, precision)
-cell of a sweep in one vectorised NumPy pass.
+"""The record scorer: every (matrix, device, format, precision) cell of
+a grid in one vectorised NumPy pass.
 
-:func:`simulate_spmv` scores one triple per Python call; the paper's
-protocol, the figure benches and the ML selector's training sweeps all
-evaluate *grids* — every matrix against every device's Table-II format
-list — re-entering the scalar simulator thousands of times.
-:func:`simulate_grid` stacks the per-cell inputs (format statistics,
-features, SIMD utilisation, imbalance factors, device parameters,
-precision multipliers) into arrays and computes all four bottlenecks,
-the capacity gate, measurement noise, energy and the argmax-bottleneck
-attribution with broadcast array arithmetic.
+This is the SpMV model.  :func:`_score_grid` stacks the per-cell inputs
+— each matrix's :class:`~repro.perfmodel.record.SpecRecord` (format
+statistics, features, SIMD utilisation, imbalance factors), device
+parameters and precision multipliers — and computes the capacity gate,
+the paper's four bottlenecks, measurement noise, energy and the
+argmax-bottleneck attribution with broadcast array arithmetic.
 
-The scalar :func:`simulate_spmv` remains the reference oracle: every
-vectorised expression here mirrors the scalar expression graph
-operation-for-operation (same associativity, same evaluation order, the
-same ufuncs), so the batched grid is **row-for-row bit-identical** to
-the scalar loop — including capacity-skip decisions and their reason
-strings.  The agreement suite in ``tests/perfmodel/test_grid_agreement``
-locks that property down over the full testbed grid.
+1. **Memory bandwidth** — total traffic (format bytes + x gather incl.
+   locality-modelled misses + y write) over the working-set-dependent
+   effective bandwidth (LLC vs DRAM — the Fig 3 cache cutoff).
+2. **Low ILP** — padded flops at SIMD-utilisation-discounted peak plus a
+   per-row loop overhead (the Fig 4 short-row penalty).
+3. **Memory latency** — residual x misses exposed after per-worker
+   latency hiding (the Fig 6 irregularity penalty).
+4. **Load imbalance** — the actual critical-worker/mean-worker ratio of
+   the format's partitioner on the row-length profile (Fig 5).
+
+Execution time is ``max(mem, compute) + latency`` stretched by the
+imbalance factor and parallel-slack utilisation, plus dispatch overhead.
+
+Sweeps score chunks of records; the views in
+:mod:`repro.perfmodel.simulator` (``simulate_grid``, ``simulate_spmv``,
+``simulate_best_detailed``) score the records memoised on
+:class:`~repro.perfmodel.instance.MatrixInstance` objects.  ``tests/oracles`` keeps the original scalar model, and the
+agreement suites require every cell here to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,23 +37,40 @@ from typing import (
 
 import numpy as np
 
+from ..core.features import Features
 from ..devices.base import Device
 from ..devices.cache import CACHE_LINE_BYTES, GPU_SECTOR_BYTES, X_CACHE_FRACTION
 from ..devices.energy import BW_WEIGHT, COMPUTE_WEIGHT
-from ..formats.base import FormatError, get_format
-from .instance import MatrixInstance
+from ..formats.base import get_format
 from .noise import NOISE_SIGMA, component_hash, noise_factors
-from .simulator import BOTTLENECKS, PRECISIONS
 
 __all__ = [
-    "simulate_grid",
     "GridResult",
     "GridSkip",
     "GRID_DTYPE",
     "STATUS_OK",
     "STATUS_FORMAT_ERROR",
     "STATUS_CAPACITY_ERROR",
+    "BOTTLENECKS",
+    "PRECISIONS",
 ]
+
+BOTTLENECKS = (
+    "memory_bandwidth",
+    "low_ilp",
+    "memory_latency",
+    "load_imbalance",
+)
+
+PRECISIONS = {
+    # value bytes, peak-flops multiplier vs double precision.  Single
+    # precision (the variant the paper defers to future work) shrinks
+    # values to 4 bytes and doubles the compute peak while index metadata
+    # is unchanged — so its speedup is sub-2x and largest for value-heavy
+    # (low-metadata) formats.
+    "fp64": (8.0, 1.0),
+    "fp32": (4.0, 2.0),
+}
 
 STATUS_OK = 0
 STATUS_FORMAT_ERROR = 1
@@ -68,7 +93,7 @@ GRID_DTYPE = np.dtype([
     ("watts", np.float64),
     ("gflops_per_watt", np.float64),
     ("bottleneck", np.int8),
-    # Diagnostics (the scalar measurement's diagnostics dict, columnar).
+    # Diagnostics (a single-matrix measurement's diagnostics dict).
     ("t_mem", np.float64),
     ("t_comp", np.float64),
     ("t_lat", np.float64),
@@ -84,6 +109,8 @@ GRID_DTYPE = np.dtype([
 # Row-dict keys carried by :meth:`GridResult.to_rows` for each cell, on
 # top of the per-instance feature columns (the selector's input schema).
 MEASUREMENT_KEYS = ("gflops", "time_s", "watts", "gflops_per_watt")
+# The diagnostic fields: everything after the measurements.
+DIAGNOSTIC_KEYS = GRID_DTYPE.names[GRID_DTYPE.names.index("t_mem"):]
 
 _FEATURE_KEYS = (
     "mem_footprint_mb",
@@ -113,10 +140,10 @@ class GridResult:
     ``data`` is a structured array with one record per grid cell,
     ordered ``(precision, instance, device, format)`` — i.e. for each
     precision block, instances in input order, then each device's format
-    list in its declared order, matching the scalar sweep's nested-loop
-    order.  ``status`` distinguishes scored cells from format refusals
-    and capacity overflows; skipped cells carry NaN measurements and
-    their reason in ``skip_reasons``.
+    list in its declared order.  ``status`` distinguishes scored cells
+    from format refusals and capacity overflows; skipped cells carry NaN
+    measurements and their reason in ``skip_reasons``.  ``features``
+    holds each instance's :class:`~repro.core.features.Features`.
     """
 
     data: np.ndarray
@@ -128,7 +155,7 @@ class GridResult:
     # (start, stop) slice of each device's formats inside one
     # (precision, instance) block of ``data``.
     device_slices: List[Tuple[int, int]]
-    instances: Sequence[MatrixInstance] = field(default=(), repr=False)
+    features: Sequence[Features] = field(default=(), repr=False)
 
     # ------------------------------------------------------------------
     @property
@@ -181,10 +208,8 @@ class GridResult:
     def best_per(self) -> np.ndarray:
         """Index of the best scored cell per (precision, instance, device).
 
-        Vectorised replacement for the :func:`simulate_best` loop: within
-        each device's format segment the highest ``gflops`` wins, ties
-        resolved to the earliest format in the device's list (the scalar
-        loop keeps the first strictly-greater measurement).  Entries are
+        Within each device's format segment the highest ``gflops`` wins,
+        ties resolved to the earliest format in the device's list.  Entries are
         flat indices into ``data``; ``-1`` marks groups where every
         format was skipped.
         """
@@ -208,8 +233,7 @@ class GridResult:
 
     # ------------------------------------------------------------------
     def _feature_columns(self, instance: int) -> dict:
-        inst = self.instances[instance]
-        feats = inst.features
+        feats = self.features[instance]
         cols = {k: getattr(feats, k) for k in _FEATURE_KEYS}
         cols["nnz"] = feats.nnz
         cols["n_rows"] = feats.n_rows
@@ -245,7 +269,7 @@ class GridResult:
             "matrix": self.instance_names[rec["instance"]],
             "instance": int(rec["instance"]),
         }
-        if with_features and len(self.instances):
+        if with_features and len(self.features):
             out.update(self._feature_columns(int(rec["instance"])))
         out.update(
             device=self.device_names[rec["device"]],
@@ -272,114 +296,11 @@ def _device_formats(
     devices: Sequence[Device], formats: Optional[Sequence[str]]
 ) -> List[List[str]]:
     """Per-device format name lists (explicit ``formats`` applies to all
-    devices, mirroring the scalar sweep)."""
+    devices)."""
     if formats:
         names = list(formats)
         return [list(names) for _ in devices]
     return [list(dev.formats) for dev in devices]
-
-
-class _InstanceSource:
-    """:func:`_score_grid`'s view of a list of :class:`MatrixInstance`.
-
-    The scoring kernel pulls everything about the matrix axis through this
-    narrow interface — names, per-instance scalars, per-format stat
-    columns, and lazily-requested SIMD utilisation / imbalance factors —
-    so sweeps (:class:`repro.perfmodel.record.RecordSource`) drive the
-    identical kernel from per-spec measurement records without ever
-    materialising instances.  This adapter reproduces the historical
-    per-instance loops exactly, memoisation semantics included.
-    """
-
-    def __init__(self, instances: Sequence[MatrixInstance]):
-        self.instances = list(instances)
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def names(self) -> List[str]:
-        return [inst.name for inst in self.instances]
-
-    def scalar_arrays(self) -> Tuple[np.ndarray, ...]:
-        """``(scale, nnz, n_rows, n_cols, neigh, sim, noise_hash)``."""
-        n = len(self.instances)
-        i_scale = np.empty(n)
-        i_nnz = np.empty(n, dtype=np.int64)
-        i_rows = np.empty(n, dtype=np.int64)
-        i_cols = np.empty(n, dtype=np.int64)
-        i_neigh = np.empty(n)
-        i_sim = np.empty(n)
-        i_noise_h = np.empty(n, dtype=np.uint64)
-        for i, inst in enumerate(self.instances):
-            i_scale[i] = inst.scale
-            i_nnz[i] = inst.nnz
-            i_rows[i] = inst.n_rows
-            i_cols[i] = inst.n_cols
-            feats = inst.features
-            i_neigh[i] = feats.avg_num_neighbours
-            i_sim[i] = feats.cross_row_similarity
-            key = inst.name or (inst.n_rows, inst.n_cols, inst.nnz)
-            i_noise_h[i] = component_hash(key)
-        return i_scale, i_nnz, i_rows, i_cols, i_neigh, i_sim, i_noise_h
-
-    def format_stats_columns(
-        self, name: str
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-               np.ndarray, np.ndarray, Dict[int, str]]:
-        """Stat columns ``(mem, meta, stored, pad_ratio, friendly, fail,
-        reasons)`` of one format across all instances."""
-        n = len(self.instances)
-        mem = np.zeros(n, dtype=np.int64)
-        meta = np.zeros(n, dtype=np.int64)
-        stored = np.zeros(n, dtype=np.int64)
-        pad = np.zeros(n)
-        friendly = np.zeros(n, dtype=bool)
-        fail = np.zeros(n, dtype=bool)
-        reasons: Dict[int, str] = {}
-        for i, inst in enumerate(self.instances):
-            try:
-                stats = inst.format_stats(name)
-            except FormatError as exc:
-                fail[i] = True
-                reasons[i] = str(exc)
-                continue
-            mem[i] = stats.memory_bytes
-            meta[i] = stats.metadata_bytes
-            stored[i] = stats.stored_elements
-            pad[i] = stats.padding_ratio
-            friendly[i] = stats.simd_friendly
-        return mem, meta, stored, pad, friendly, fail, reasons
-
-    def simd_utilisation(self, i: int, width: int) -> float:
-        return self.instances[i].simd_utilisation(width)
-
-    def imbalance_factor(
-        self, i: int, strategy: str, workers: int, width: int
-    ) -> float:
-        return self.instances[i].imbalance(strategy, workers, width).factor
-
-
-def simulate_grid(
-    instances: Sequence[MatrixInstance],
-    devices: Sequence[Device],
-    formats: Optional[Sequence[str]] = None,
-    precisions: Sequence[str] = ("fp64",),
-    seed: int = 0,
-    noise_sigma: Optional[float] = None,
-) -> GridResult:
-    """Score the full (instance x device x format x precision) grid.
-
-    Semantics per cell are exactly :func:`simulate_spmv`'s: formats that
-    refuse a matrix become ``format_error`` cells, the device capacity
-    gate becomes ``capacity_error`` cells (with the scalar exception's
-    message as the reason), and every scored cell's measurements are
-    bit-identical to the scalar call.  ``formats=None`` uses each
-    device's Table-II list; an explicit list applies to every device.
-    """
-    return _score_grid(
-        _InstanceSource(instances), devices, formats, precisions,
-        seed, noise_sigma,
-    )
 
 
 class _GridGate(NamedTuple):
@@ -480,9 +401,8 @@ class _GridPlan:
         """Capacity verdicts per precision, and the SIMD widths and
         imbalance keys each matrix's cells need.
 
-        ``simulate_spmv`` raises ``CapacityError`` *before* touching SIMD
-        utilisation or imbalance, so cells gated at every requested
-        precision must not trigger those (per-profile) measurements:
+        Cells gated at every requested precision are never scored, so
+        they must not trigger SIMD or imbalance (per-profile) measurements:
         friendly, scoreable cells need their device's width; scoreable
         cells need their imbalance key.  ``s_*`` are ``(n_inst,
         len(format_names))`` stat columns.
@@ -527,11 +447,31 @@ class _GridPlan:
                          friendly_df, need_w, need_key)
 
 
-def _stat_arrays(source, format_names: Sequence[str]):
+def _scalar_arrays(records, names: Sequence[str]) -> Tuple[np.ndarray, ...]:
+    """``(scale, nnz, n_rows, n_cols, neigh, sim, noise_hash)`` of
+    ``records``; an unnamed record's noise key is its declared shape."""
+    n = len(records)
+    out = (np.empty(n), np.empty(n, dtype=np.int64),
+           np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+           np.empty(n), np.empty(n), np.empty(n, dtype=np.uint64))
+    i_scale, i_nnz, i_rows, i_cols, i_neigh, i_sim, i_noise_h = out
+    for i, (rec, name) in enumerate(zip(records, names)):
+        i_scale[i] = rec.scale
+        i_nnz[i] = rec.nnz
+        i_rows[i] = rec.n_rows
+        i_cols[i] = rec.n_cols
+        i_neigh[i] = rec.features.avg_num_neighbours
+        i_sim[i] = rec.features.cross_row_similarity
+        i_noise_h[i] = component_hash(name or (rec.n_rows, rec.n_cols,
+                                               rec.nnz))
+    return out
+
+
+def _stat_arrays(records, format_names: Sequence[str]):
     """``(mem, meta, stored, pad, friendly, fail, reasons)``: the
-    ``(n_inst, n_fmt)`` stat arrays of ``source`` plus refusal messages
+    ``(n_inst, n_fmt)`` stat arrays of ``records`` plus refusal messages
     keyed by ``(instance, format)`` position."""
-    shape = (len(source), len(format_names))
+    shape = (len(records), len(format_names))
     s_mem = np.zeros(shape, dtype=np.int64)
     s_meta = np.zeros(shape, dtype=np.int64)
     s_stored = np.zeros(shape, dtype=np.int64)
@@ -539,66 +479,65 @@ def _stat_arrays(source, format_names: Sequence[str]):
     s_friendly = np.zeros(shape, dtype=bool)
     s_fail = np.zeros(shape, dtype=bool)
     fail_reason: Dict[Tuple[int, int], str] = {}
-    for g, name in enumerate(format_names):
-        (s_mem[:, g], s_meta[:, g], s_stored[:, g], s_pad[:, g],
-         s_friendly[:, g], s_fail[:, g],
-         reasons) = source.format_stats_columns(name)
-        for i, msg in reasons.items():
-            fail_reason[(i, g)] = msg
+    for i, rec in enumerate(records):
+        for g, name in enumerate(format_names):
+            if name in rec.refusals:
+                s_fail[i, g] = True
+                fail_reason[(i, g)] = rec.refusals[name]
+                continue
+            (s_mem[i, g], s_meta[i, g], s_stored[i, g], s_pad[i, g],
+             s_friendly[i, g]) = rec.stats[name]
     return s_mem, s_meta, s_stored, s_pad, s_friendly, s_fail, fail_reason
 
 
 def _score_grid(
-    source,
-    devices: Sequence[Device],
-    formats: Optional[Sequence[str]] = None,
-    precisions: Sequence[str] = ("fp64",),
+    records,
+    names: Sequence[str],
+    plan: _GridPlan,
     seed: int = 0,
     noise_sigma: Optional[float] = None,
 ) -> GridResult:
-    """Score the grid for any matrix-axis ``source``.
-
-    ``source`` follows the :class:`_InstanceSource` protocol; everything
-    below this line is matrix-representation agnostic, so sweeps scored
-    from measurement records produce bit-identical cells by
-    construction.
-    """
-    plan = _GridPlan(devices, formats, precisions)
+    """Score ``plan``'s grid over ``records`` (one
+    :class:`~repro.perfmodel.record.SpecRecord` per matrix, named by
+    ``names``; they must cover every cell ``plan`` scores)."""
     devices = plan.devices
     precisions = plan.precisions
     format_names = plan.format_names
     df_dev, df_fmt = plan.df_dev, plan.df_fmt
     df_dev_arr, df_fmt_arr = plan.df_dev_arr, plan.df_fmt_arr
     device_slices = plan.device_slices
-    n_inst, n_dev, n_fmt = len(source), len(devices), len(format_names)
+    n_inst = len(records)
     n_df = plan.n_df
 
-    instance_names = source.names()
+    instance_names = list(names)
     device_names = [dev.name for dev in devices]
 
-    empty = GridResult(
-        data=np.zeros(0, dtype=GRID_DTYPE),
-        instance_names=instance_names,
-        device_names=device_names,
-        format_names=format_names,
-        precisions=precisions,
-        skip_reasons={},
-        device_slices=device_slices,
-        instances=source.instances,
-    )
+    def result(data: np.ndarray, skip_reasons: Dict[int, str]):
+        return GridResult(
+            data=data,
+            instance_names=instance_names,
+            device_names=device_names,
+            format_names=format_names,
+            precisions=precisions,
+            skip_reasons=skip_reasons,
+            device_slices=device_slices,
+            features=[rec.features for rec in records],
+        )
+
     if n_inst == 0 or n_df == 0:
-        return empty
+        return result(np.zeros(0, dtype=GRID_DTYPE), {})
 
     # -- per-instance scalars ------------------------------------------
     (i_scale, i_nnz, i_rows, i_cols, i_neigh, i_sim,
-     i_noise_h) = source.scalar_arrays()
+     i_noise_h) = _scalar_arrays(records, instance_names)
 
     # -- per-(instance, format) structural statistics ------------------
     (s_mem, s_meta, s_stored, s_pad, s_friendly, s_fail,
-     fail_reason) = _stat_arrays(source, format_names)
+     fail_reason) = _stat_arrays(records, format_names)
 
-    # -- per-device parameter arrays (derived exactly as the scalar
-    #    path computes them, so every denominator matches bit-for-bit) --
+    # -- per-device parameter arrays (each denominator is computed in
+    #    the order the reference model uses, so cells match it bit for
+    #    bit) --
     d_llc_bytes = np.array([dev.llc_bytes for dev in devices])
     d_llc_bw = np.array([dev.llc_bw_gbs for dev in devices])
     d_dram_bw = np.array([dev.dram_bw_gbs for dev in devices])
@@ -646,14 +585,14 @@ def _score_grid(
     cap_fail_by_p = gate.cap_fail_by_p
 
     # -- per-(instance, device-format) SIMD utilisation ----------------
-    # simulate_spmv: friendly formats use max(simd_utilisation(width),
-    # 1/width); unfriendly ones 1/width.  Only the widths some friendly,
-    # scoreable cell needs are requested from the source.
+    # Friendly formats use max(simd_utilisation(width), 1/width);
+    # unfriendly ones 1/width.  Records carry only the widths some
+    # friendly, scoreable cell needs.
     util_tab = np.zeros((n_inst, len(plan.widths)))
     for i in range(n_inst):
         for k, w in enumerate(plan.widths):
             if gate.need_w[i, k]:
-                util_tab[i, k] = source.simd_utilisation(i, w)
+                util_tab[i, k] = records[i].simd[w]
     util_df = util_tab[:, plan.cell_w_pos]           # (n_inst, n_df)
     inv_w_df = d_inv_width[df_dev_arr]
     simd_util_df = np.where(
@@ -663,11 +602,9 @@ def _score_grid(
     # -- per-(instance, device-format) imbalance factors ---------------
     imb_tab = np.ones((n_inst, len(plan.keys)))
     for i in range(n_inst):
-        for k, (strategy, workers, width) in enumerate(plan.keys):
+        for k, key in enumerate(plan.keys):
             if gate.need_key[i, k]:
-                imb_tab[i, k] = source.imbalance_factor(
-                    i, strategy, workers, width
-                )
+                imb_tab[i, k] = records[i].imbalance[key]
     imb_df = imb_tab[:, plan.df_key_idx]             # (n_inst, n_df)
 
     # -- broadcast blocks ----------------------------------------------
@@ -709,15 +646,15 @@ def _score_grid(
     for p, prec in enumerate(precisions):
         value_bytes, peak_mult = PRECISIONS[prec]
 
-        # ---- storage split (simulate_spmv order, op for op; bytes and
-        # the capacity verdict were precomputed above) -----------------
+        # ---- storage split (bytes and the capacity verdict were
+        # precomputed by the gate) -------------------------------------
         fmt_bytes = fmt_bytes_by_p[p]
         stored = stored_df * scale
         x_y_bytes = x_y_bytes_by_p[p]
         capacity_fail = cap_fail_by_p[p]
 
         # ---- bottleneck 1: memory bandwidth --------------------------
-        # x_access_model, vectorised
+        # x-gather locality: misses, extra line traffic, GPU sectors
         x_bytes = n_cols * value_bytes
         budget = llc_bytes * X_CACHE_FRACTION
         coverage = np.where(
@@ -734,7 +671,7 @@ def _score_grid(
 
         bytes_total = fmt_bytes + (n_cols + n_rows) * value_bytes + extra
         working_set = fmt_bytes + x_y_bytes
-        # effective_bandwidth, vectorised (incl. its ws<=0 early return)
+        # effective bandwidth: LLC/DRAM harmonic blend (LLC for ws<=0)
         safe_ws = np.where(working_set > 0, working_set, 1.0)
         cached = np.minimum(1.0, llc_bytes / safe_ws)
         inv = cached / llc_bw + (1.0 - cached) / dram_bw
@@ -777,7 +714,7 @@ def _score_grid(
         flops_useful = 2.0 * nnz
         gflops = flops_useful / t_total / 1e9
 
-        # EnergyModel.estimate / average_power, vectorised
+        # average power: idle plus utilisation-scaled dynamic power
         bw_u = (bytes_total / t_total) / dram_denom
         c_u = (flops_useful / t_total) / peak_denom
         bw_u = np.minimum(np.maximum(bw_u, 0.0), 1.0)
@@ -786,8 +723,7 @@ def _score_grid(
         watts = idle_w + power_span * activity
         gflops_per_watt = np.where(watts > 0, gflops / watts, 0.0)
 
-        # Dominant bottleneck: first index of the largest contribution,
-        # matching the scalar dict-argmax (insertion order, first max).
+        # Dominant bottleneck: first index of the largest contribution.
         contributions = np.stack([
             t_mem,
             t_comp,
@@ -821,8 +757,7 @@ def _score_grid(
             block[name] = col
         block["bottleneck"] = np.where(ok, bottleneck, -1).astype(np.int8)
 
-        # Skip reasons (rare; formatted per cell, matching the scalar
-        # exception messages byte for byte).
+        # Skip reasons (rare; formatted per cell).
         base = p * n_inst * n_df
         need_gib = (fmt_bytes + x_y_bytes) / 2**30
         cap_cells = np.argwhere(capacity_fail & ~fmt_fail)
@@ -839,13 +774,4 @@ def _score_grid(
 
         blocks.append(block.reshape(-1))
 
-    return GridResult(
-        data=np.concatenate(blocks),
-        instance_names=instance_names,
-        device_names=device_names,
-        format_names=format_names,
-        precisions=precisions,
-        skip_reasons=skip_reasons,
-        device_slices=device_slices,
-        instances=source.instances,
-    )
+    return result(np.concatenate(blocks), skip_reasons)

@@ -7,39 +7,27 @@ the declared :class:`~repro.core.generator.MatrixSpec`.  Scale-free
 statistics (locality, padding ratios, SIMD utilisation) are measured on
 the representative; size-dependent quantities (footprint, row count, the
 row-length profile used for imbalance) come from the declared spec.
+
+An instance measures itself into one memoised
+:class:`~repro.perfmodel.record.SpecRecord` — the record a sweep builds
+per spec — so every ``simulate_*`` call is a view of the record scorer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-import numpy as np
+from ..core.features import Features
+from ..core.generator import MatrixSpec
+from ..core.matrix import CSRMatrix, CSRStructBatch
+from .batch import _GridPlan
+from .record import (
+    SpecRecord, _Profile, base_records, declared_features,
+    declared_profile, measure, needs,
+)
 
-from ..core.features import Features, extract_features
-from ..core.generator import MatrixSpec, row_length_profile
-from ..core.matrix import CSRMatrix
-from ..devices.parallel import ImbalanceStats, imbalance_for_strategy
-from ..formats.base import FormatError, FormatStats, get_format
-
-__all__ = ["MatrixInstance", "simd_utilisation_of_profile"]
-
-
-def simd_utilisation_of_profile(
-    row_profile: np.ndarray, simd_width: int
-) -> float:
-    """Fraction of SIMD lanes doing useful work under row-vectorisation."""
-    if simd_width <= 1:
-        return 1.0
-    lengths = row_profile[row_profile > 0]
-    if len(lengths) == 0:
-        return 1.0
-    issued = np.ceil(lengths / simd_width) * simd_width
-    return float(lengths.sum() / issued.sum())
-
-# Imbalance statistics converge long before this many rows; the cap bounds
-# profile memory for multi-GB declared matrices.
-MAX_PROFILE_ROWS = 2_000_000
+__all__ = ["MatrixInstance", "instance_records"]
 
 
 @dataclass
@@ -50,23 +38,10 @@ class MatrixInstance:
     spec: Optional[MatrixSpec] = None
     name: str = ""
 
-    # How `format_stats` computes structural statistics: "analytic" scores
-    # via `SparseFormat.stats_from_csr` (closed forms over the CSR arrays,
-    # no payload materialisation — the cold-sweep fast path), "materialise"
-    # converts with `from_csr` and reduces, as the original engine did.
-    # Both produce identical stats and raise identical errors (enforced by
-    # tests/formats/test_stats_agreement.py); the switch exists for the
-    # cold-sweep bench and as an escape hatch.  Class-level default;
-    # assign per instance to override.
-    stats_engine = "analytic"
-
     def __post_init__(self):
         self._features: Optional[Features] = None
-        self._profile: Optional[np.ndarray] = None
-        self._format_stats: Dict[str, FormatStats] = {}
-        self._format_fail: Dict[str, str] = {}
-        self._simd_util: Dict[int, float] = {}
-        self._imbalance: Dict[tuple, ImbalanceStats] = {}
+        self._record: Optional[SpecRecord] = None
+        self._declared: Optional[_Profile] = None
 
     # -- declared scale -------------------------------------------------
     @property
@@ -97,131 +72,37 @@ class MatrixInstance:
         """Declared CSR footprint (paper f1)."""
         return (self.nnz * 12.0 + (self.n_rows + 1) * 4.0) / (1024**2)
 
-    # -- cached statistics ----------------------------------------------
     @property
     def features(self) -> Features:
         """Measured features, with the footprint at declared scale."""
         if self._features is None:
-            measured = extract_features(self.matrix)
-            self._features = replace(
-                measured,
-                mem_footprint_mb=self.mem_footprint_mb,
-                n_rows=self.n_rows,
-                n_cols=self.n_cols,
-                nnz=self.nnz,
+            self._features = declared_features(
+                self.matrix, self.n_rows, self.n_cols, self.nnz
             )
         return self._features
 
-    def row_profile(self) -> np.ndarray:
-        """Row-length profile at declared scale (capped), for imbalance.
+    # -- measurement ----------------------------------------------------
+    def record(self, plan: _GridPlan) -> SpecRecord:
+        """This matrix's measurement record, covering every cell ``plan``
+        scores (see :func:`instance_records`)."""
+        return instance_records([self], plan)[0]
 
-        For un-scaled instances this is simply the measured row lengths;
-        for scaled ones the profile is regenerated from the spec at (up to)
-        ``MAX_PROFILE_ROWS`` rows so heavy rows keep their true *fraction*
-        of the total work.
-        """
-        if self._profile is None:
-            if self.spec is None or self.scale <= 1.0:
-                self._profile = self.matrix.row_lengths
-            else:
-                rows = min(self.spec.n_rows, MAX_PROFILE_ROWS)
-                rng = np.random.default_rng(self.spec.seed)
-                self._profile = row_length_profile(
-                    rows,
-                    self.spec.n_cols,
-                    self.spec.avg_nnz_per_row,
-                    self.spec.std_ratio * self.spec.avg_nnz_per_row,
-                    self.spec.skew_coeff,
-                    rng,
-                    self.spec.distribution,
-                )
-        return self._profile
-
-    def simd_utilisation(self, simd_width: int) -> float:
-        """Memoised SIMD utilisation of the row profile at ``simd_width``.
-
-        The profile can span millions of rows, and the simulator asks for
-        the same handful of widths on every ``(device, format)`` call — the
-        per-width cache drops that O(n_rows) recomputation from warm runs.
-        """
-        if simd_width not in self._simd_util:
-            self._simd_util[simd_width] = simd_utilisation_of_profile(
-                self.row_profile(), simd_width
+    def _record_with_stats(self, format_names: Sequence[str]) -> SpecRecord:
+        """The memoised record, extended by the stats of any of
+        ``format_names`` it lacks (scored as a one-matrix structure
+        batch)."""
+        rec = self._record
+        missing = [name for name in format_names if rec is None or (
+            name not in rec.stats and name not in rec.refusals)]
+        if missing:
+            fresh = base_records(
+                CSRStructBatch.from_matrices([self.matrix]), [self.matrix],
+                [self.spec], missing, features=[self.features],
+            )[0]
+            self._record = rec = (
+                fresh if rec is None else rec.merged(fresh)
             )
-        return self._simd_util[simd_width]
-
-    def imbalance(
-        self, strategy: str, n_workers: int, simd_width: int = 32
-    ) -> ImbalanceStats:
-        """Memoised load-imbalance statistics of the named partitioner.
-
-        Keyed on the full ``(strategy, n_workers, simd_width)`` triple; the
-        profile itself is fixed per instance, so every sweep revisit of the
-        same device/format pair becomes a dictionary hit.
-        """
-        key = (strategy, n_workers, simd_width)
-        if key not in self._imbalance:
-            self._imbalance[key] = imbalance_for_strategy(
-                strategy, self.row_profile(), n_workers, simd_width
-            )
-        return self._imbalance[key]
-
-    def format_stats(self, format_name: str) -> FormatStats:
-        """Score the format once and cache the structural statistics.
-
-        The default ("analytic") engine computes the stats directly from
-        the CSR structure arrays via
-        :meth:`~repro.formats.base.SparseFormat.stats_from_csr` — the
-        simulator never reads format payloads, so the full conversion
-        (padded value/index allocation for ELL/SELL-C-σ/DIA/BCSR, scatter
-        passes for the rest) is skipped entirely on cold sweeps.  Raises
-        :class:`FormatError` (replayed from cache) when the format refuses
-        the matrix — same error, same message, either engine.
-        """
-        if self.stats_engine not in ("analytic", "materialise"):
-            raise ValueError(
-                f"unknown stats_engine {self.stats_engine!r}; "
-                "expected 'analytic' or 'materialise'"
-            )
-        if format_name in self._format_fail:
-            raise FormatError(self._format_fail[format_name])
-        if format_name not in self._format_stats:
-            cls = get_format(format_name)
-            analytic = self.stats_engine == "analytic"
-            # Rectangular representatives dilute per-column populations,
-            # which overstates the padding of column-density-sensitive
-            # formats; those expose a density-corrected estimate.  Decide
-            # the correction up front so each engine computes the stats
-            # exactly once.
-            cell_density = None
-            if hasattr(cls, "stats_at_density"):
-                rep_density = self.matrix.nnz / max(self.matrix.n_cols, 1)
-                dec_density = self.nnz / max(self.n_cols, 1)
-                if rep_density > 0 and (
-                    abs(dec_density / rep_density - 1.0) > 0.05
-                ):
-                    cell_density = dec_density / cls.N_CHANNELS
-            try:
-                if analytic:
-                    stats = (
-                        cls.stats_at_density_from_csr(
-                            self.matrix, cell_density
-                        )
-                        if cell_density is not None
-                        else cls.stats_from_csr(self.matrix)
-                    )
-                else:
-                    fmt = cls.from_csr(self.matrix)
-                    stats = (
-                        fmt.stats_at_density(cell_density)
-                        if cell_density is not None
-                        else fmt.stats()
-                    )
-            except FormatError as exc:
-                self._format_fail[format_name] = str(exc)
-                raise
-            self._format_stats[format_name] = stats
-        return self._format_stats[format_name]
+        return rec
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -240,3 +121,26 @@ class MatrixInstance:
     ) -> "MatrixInstance":
         """Wrap a fully materialised matrix (no scaling)."""
         return cls(matrix=matrix, spec=None, name=name)
+
+
+def instance_records(
+    instances: Sequence[MatrixInstance], plan: _GridPlan
+) -> List[SpecRecord]:
+    """The memoised records of ``instances``, each covering every cell
+    ``plan`` scores.
+
+    A record that already covers the plan is reused as is; otherwise
+    only the missing formats, SIMD widths and imbalance keys are
+    measured and merged in.  An instance's declared-scale row profile is
+    drawn at most once, whichever devices ask.
+    """
+    records = [inst._record_with_stats(plan.format_names)
+               for inst in instances]
+    for inst, rec, need in zip(instances, records, needs(plan, records)):
+        if not rec.covers((), *need):
+            if inst._declared is None:
+                inst._declared = _Profile(declared_profile(
+                    inst.spec, rec.scale, inst.matrix.row_lengths
+                ))
+            measure(rec, inst._declared, need)
+    return records

@@ -1,12 +1,15 @@
-"""Per-spec measurement records: everything the grid scorer reads.
+"""Per-matrix measurement records: everything the grid scorer reads.
 
 A sweep chunk runs specs → structure batch → one :class:`SpecRecord`
-per spec → :func:`repro.perfmodel.batch._score_grid`.  A record holds
-the declared-scale scalars, the :class:`~repro.core.features.Features`,
-each format's stat tuple or refusal message, SIMD utilisation per width
-and imbalance factors per ``(strategy, n_workers, simd_width)`` key —
-and nothing name-dependent: the noise hash is recomputed from the row
-name at score time, so one record serves every dataset holding the spec.
+per spec → :func:`repro.perfmodel.batch._score_grid`, and a
+:class:`~repro.perfmodel.instance.MatrixInstance` memoises one record
+for its own matrix, so every score comes from the same chain.  A record
+holds the declared-scale scalars, the
+:class:`~repro.core.features.Features`, each format's stat tuple or
+refusal message, SIMD utilisation per width and imbalance factors per
+``(strategy, n_workers, simd_width)`` key — and nothing name-dependent:
+the noise hash is recomputed from the row name at score time, so one
+record serves every dataset holding the spec.
 
 :func:`build_records` generates the chunk's CSR structure once
 (:func:`~repro.core.generator.structure_batch`), derives the format
@@ -14,11 +17,7 @@ stats columnar, and then measures spec by spec, releasing each spec's
 declared-scale profile, prefix sum, SELL widths and warp cycles before
 the next.  Only the widths and keys the grid's cells need are measured
 (:meth:`~repro.perfmodel.batch._GridPlan.gate`, the scorer's own
-capacity gate).  Every expression mirrors the
-:class:`~repro.perfmodel.instance.MatrixInstance` computation
-operation for operation, so record sweeps are row-for-row bit-identical
-to the instance reference path (``tests/pipeline/test_fused_agreement``
-and the golden table lock this down).
+capacity gate).
 
 Records serialise to canonical JSON bytes (never pickle: the sweep cache
 reads them back from a user directory); float ``repr`` round-trips every
@@ -35,15 +34,19 @@ import numpy as np
 
 from ..core.features import Features, extract_features
 from ..core.generator import MatrixSpec, row_length_profile, structure_batch
-from ..devices.parallel import imbalance_for_strategy_fast, sell_chunk_widths
+from ..core.matrix import CSRMatrix, CSRStructBatch
+from ..devices.parallel import imbalance_for_strategy, sell_chunk_widths
 from ..formats.base import FormatError, FormatStatsBatch, get_format
-from .batch import _GridPlan, _stat_arrays
-from .instance import MAX_PROFILE_ROWS
-from .noise import component_hash
+from .batch import _GridPlan, _scalar_arrays, _stat_arrays
 
-__all__ = ["SpecRecord", "RecordSource", "build_records", "chunk_records"]
+__all__ = ["SpecRecord", "build_records", "chunk_records",
+           "MAX_PROFILE_ROWS"]
 
-# Strategies whose fast twins share the profile's integer prefix sum.
+# Imbalance statistics converge long before this many rows; the cap bounds
+# profile memory for multi-GB declared matrices.
+MAX_PROFILE_ROWS = 2_000_000
+
+# Strategies whose partitioners share the profile's integer prefix sum.
 _CSUM_STRATEGIES = ("row_block", "nnz_row")
 
 ImbalanceKey = Tuple[str, int, int]
@@ -136,93 +139,6 @@ def _json_scalar(obj):
     raise TypeError(f"not JSON-serialisable: {type(obj)!r}")
 
 
-def _stat_columns(records: Sequence[SpecRecord], name: str):
-    """``(mem, meta, stored, pad, friendly, fail, reasons)`` of one
-    format across ``records``."""
-    n = len(records)
-    mem = np.zeros(n, dtype=np.int64)
-    meta = np.zeros(n, dtype=np.int64)
-    stored = np.zeros(n, dtype=np.int64)
-    pad = np.zeros(n)
-    friendly = np.zeros(n, dtype=bool)
-    fail = np.zeros(n, dtype=bool)
-    reasons: Dict[int, str] = {}
-    for i, rec in enumerate(records):
-        if name in rec.refusals:
-            fail[i] = True
-            reasons[i] = rec.refusals[name]
-            continue
-        mem[i], meta[i], stored[i], pad[i], friendly[i] = rec.stats[name]
-    return mem, meta, stored, pad, friendly, fail, reasons
-
-
-def _needed(plan: _GridPlan, gate, i: int):
-    """The SIMD widths and imbalance keys row ``i`` of ``gate`` needs."""
-    widths = [w for k, w in enumerate(plan.widths) if gate.need_w[i, k]]
-    keys = [key for k, key in enumerate(plan.keys) if gate.need_key[i, k]]
-    return widths, keys
-
-
-def _gate(plan: _GridPlan, records: Sequence[SpecRecord]):
-    """``plan``'s capacity gate over ``records`` (their stats must cover
-    ``plan.format_names``)."""
-    source = RecordSource(records, [""] * len(records))
-    scale, _, n_rows, n_cols, *_ = source.scalar_arrays()
-    s_mem, s_meta, _, _, s_friendly, s_fail, _ = _stat_arrays(
-        source, plan.format_names
-    )
-    return plan.gate(scale, n_rows, n_cols, s_mem, s_meta, s_fail,
-                     s_friendly)
-
-
-class RecordSource:
-    """:func:`_score_grid`'s matrix axis read from spec records
-    (the :class:`repro.perfmodel.batch._InstanceSource` protocol)."""
-
-    # ``GridResult.instances`` stays empty; the table assembly gathers
-    # feature columns from the records instead.
-    instances: Tuple = ()
-
-    def __init__(self, records: Sequence[SpecRecord], names: Sequence[str]):
-        self.records = list(records)
-        self._names = list(names)
-        if len(self._names) != len(self.records):
-            raise ValueError("one name per record required")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def names(self) -> List[str]:
-        return list(self._names)
-
-    def scalar_arrays(self) -> Tuple[np.ndarray, ...]:
-        n = len(self.records)
-        out = (np.empty(n), np.empty(n, dtype=np.int64),
-               np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
-               np.empty(n), np.empty(n), np.empty(n, dtype=np.uint64))
-        i_scale, i_nnz, i_rows, i_cols, i_neigh, i_sim, i_noise_h = out
-        for i, rec in enumerate(self.records):
-            i_scale[i] = rec.scale
-            i_nnz[i] = rec.nnz
-            i_rows[i] = rec.n_rows
-            i_cols[i] = rec.n_cols
-            i_neigh[i] = rec.features.avg_num_neighbours
-            i_sim[i] = rec.features.cross_row_similarity
-            key = self._names[i] or (rec.n_rows, rec.n_cols, rec.nnz)
-            i_noise_h[i] = component_hash(key)
-        return out
-
-    def format_stats_columns(self, name: str):
-        return _stat_columns(self.records, name)
-
-    def simd_utilisation(self, i: int, width: int) -> float:
-        return self.records[i].simd[width]
-
-    def imbalance_factor(self, i: int, strategy: str, workers: int,
-                         width: int) -> float:
-        return self.records[i].imbalance[(strategy, workers, width)]
-
-
 class _Profile:
     """One spec's declared-scale row-length profile plus the
     worker-independent precomputations its measurements share: the
@@ -281,16 +197,21 @@ class _Profile:
             if width not in self._cycles:
                 self._cycles[width] = (self.lengths + width - 1) // width
             cycles = self._cycles[width]
-        return imbalance_for_strategy_fast(
+        return imbalance_for_strategy(
             strategy, self.lengths, workers, width,
             csum=csum, sell_widths=sell, warp_cycles=cycles,
         ).factor
 
 
-def _declared_profile(spec: MatrixSpec, scale: float,
-                      rep_lengths: np.ndarray) -> np.ndarray:
-    """Row-length profile at declared scale (``row_profile``)."""
-    if scale <= 1.0:
+def declared_profile(spec: Optional[MatrixSpec], scale: float,
+                     rep_lengths: np.ndarray) -> np.ndarray:
+    """Row-length profile at declared scale, for SIMD and imbalance.
+
+    An unscaled matrix's profile is its own row lengths; a scaled one's
+    is regenerated from the spec at (up to) ``MAX_PROFILE_ROWS`` rows so
+    heavy rows keep their true *fraction* of the total work.
+    """
+    if spec is None or scale <= 1.0:
         return rep_lengths
     rng = np.random.default_rng(spec.seed)
     return row_length_profile(
@@ -305,13 +226,14 @@ def _declared_profile(spec: MatrixSpec, scale: float,
 
 
 def _format_columns(name, batch, mats, nnz, decl_cols):
-    """One format's stat columns over the chunk (the
-    ``MatrixInstance.format_stats`` branches, columnar)."""
+    """One format's stat columns over the chunk."""
     n = len(mats)
     cls = get_format(name)
     if hasattr(cls, "stats_at_density"):
-        # Density-corrected formats decide per matrix whether the
-        # rectangular representative dilutes the per-column population.
+        # Rectangular representatives dilute per-column populations,
+        # which overstates the padding of column-density-sensitive
+        # formats; those decide per matrix whether to use a
+        # density-corrected estimate.
         fsb = FormatStatsBatch.empty(n)
         for i, mat in enumerate(mats):
             rep_density = mat.nnz / max(mat.n_cols, 1)
@@ -342,24 +264,49 @@ def _format_columns(name, batch, mats, nnz, decl_cols):
             pad, fsb.simd_friendly, fsb.fail, fsb.fail_reason)
 
 
-def build_records(specs: Sequence[MatrixSpec], max_nnz: Optional[int],
-                  plan: _GridPlan) -> List[SpecRecord]:
-    """Fresh records for ``specs`` carrying every format stat, SIMD
-    width and imbalance key ``plan``'s cells need."""
-    specs = list(specs)
-    n = len(specs)
-    if n == 0:
-        return []
-    batch = structure_batch(specs, max_nnz=max_nnz)
-    decl_rows = np.array([s.n_rows for s in specs], dtype=np.int64)
-    decl_cols = np.array([s.n_cols for s in specs], dtype=np.int64)
+def declared_features(matrix: CSRMatrix, n_rows: int, n_cols: int,
+                      nnz: int) -> Features:
+    """``matrix``'s measured features with the declared-scale shape and
+    CSR footprint (paper f1)."""
+    return replace(
+        extract_features(matrix),
+        mem_footprint_mb=(nnz * 12.0 + (n_rows + 1) * 4.0) / (1024 ** 2),
+        n_rows=n_rows,
+        n_cols=n_cols,
+        nnz=nnz,
+    )
+
+
+def base_records(
+    batch: CSRStructBatch,
+    mats: Sequence[CSRMatrix],
+    specs: Sequence[Optional[MatrixSpec]],
+    format_names: Sequence[str],
+    features: Optional[Sequence[Features]] = None,
+) -> List[SpecRecord]:
+    """Records for the matrices of ``batch`` (materialised as ``mats``)
+    holding the declared-scale scalars, the features and the stats of
+    ``format_names`` — no SIMD or imbalance measurements yet.
+
+    Each matrix is the representative of its spec, or unscaled where the
+    spec is ``None``.  ``features`` optionally supplies the features
+    already measured.
+    """
+    n = len(mats)
+    decl_rows = np.array(
+        [batch.n_rows[i] if s is None else s.n_rows
+         for i, s in enumerate(specs)], dtype=np.int64,
+    )
+    decl_cols = np.array(
+        [batch.n_cols[i] if s is None else s.n_cols
+         for i, s in enumerate(specs)], dtype=np.int64,
+    )
     scale = np.maximum(1.0, decl_rows / np.maximum(batch.n_rows, 1))
     nnz = np.round(batch.nnz * scale).astype(np.int64)
-    mats = [batch.matrix(i) for i in range(n)]
 
     stats: List[Dict[str, StatTuple]] = [{} for _ in range(n)]
     refusals: List[Dict[str, str]] = [{} for _ in range(n)]
-    for name in plan.format_names:
+    for name in format_names:
         (mem, meta, stored, pad, friendly, fail,
          reasons) = _format_columns(name, batch, mats, nnz, decl_cols)
         for i in range(n):
@@ -374,33 +321,69 @@ def build_records(specs: Sequence[MatrixSpec], max_nnz: Optional[int],
     for i in range(n):
         n_rows, n_cols = int(decl_rows[i]), int(decl_cols[i])
         nnz_i = int(nnz[i])
-        features = replace(
-            extract_features(mats[i]),
-            mem_footprint_mb=(
-                (nnz_i * 12.0 + (n_rows + 1) * 4.0) / (1024 ** 2)
-            ),
-            n_rows=n_rows,
-            n_cols=n_cols,
-            nnz=nnz_i,
-        )
         records.append(SpecRecord(
             scale=float(scale[i]), nnz=nnz_i, n_rows=n_rows,
-            n_cols=n_cols, features=features, stats=stats[i],
-            refusals=refusals[i],
+            n_cols=n_cols,
+            features=(features[i] if features is not None else
+                      declared_features(mats[i], n_rows, n_cols, nnz_i)),
+            stats=stats[i], refusals=refusals[i],
         ))
+    return records
+
+
+def measure(rec: SpecRecord, profile: _Profile,
+            need: Tuple[Sequence[int], Sequence[ImbalanceKey]]) -> None:
+    """Add the SIMD widths and imbalance keys in ``need`` that ``rec``
+    lacks, measured on ``profile``."""
+    widths, keys = need
+    for w in widths:
+        if w not in rec.simd:
+            rec.simd[w] = profile.simd_utilisation(w)
+    for key in keys:
+        if key not in rec.imbalance:
+            rec.imbalance[key] = profile.imbalance_factor(*key)
+
+
+def needs(plan: _GridPlan, records: Sequence[SpecRecord]):
+    """Per record, the ``(widths, keys)`` its cells in ``plan`` need
+    (``plan``'s capacity gate over ``records``, whose stats must cover
+    ``plan.format_names``)."""
+    scale, _, n_rows, n_cols, *_ = _scalar_arrays(
+        records, [""] * len(records)
+    )
+    s_mem, s_meta, _, _, s_friendly, s_fail, _ = _stat_arrays(
+        records, plan.format_names
+    )
+    gate = plan.gate(scale, n_rows, n_cols, s_mem, s_meta, s_fail,
+                     s_friendly)
+    return [
+        ([w for k, w in enumerate(plan.widths) if gate.need_w[i, k]],
+         [key for k, key in enumerate(plan.keys) if gate.need_key[i, k]])
+        for i in range(len(records))
+    ]
+
+
+def build_records(specs: Sequence[MatrixSpec], max_nnz: Optional[int],
+                  plan: _GridPlan) -> List[SpecRecord]:
+    """Fresh records for ``specs`` carrying every format stat, SIMD
+    width and imbalance key ``plan``'s cells need."""
+    specs = list(specs)
+    if not specs:
+        return []
+    batch = structure_batch(specs, max_nnz=max_nnz)
+    mats = [batch.matrix(i) for i in range(len(specs))]
+    records = base_records(batch, mats, specs, plan.format_names)
     del mats
-    gate = _gate(plan, records)
-    for i, (spec, rec) in enumerate(zip(specs, records)):
-        widths, keys = _needed(plan, gate, i)
-        if widths or keys:
+    for i, (spec, rec, need) in enumerate(
+        zip(specs, records, needs(plan, records))
+    ):
+        if need[0] or need[1]:
             # One spec's profile at a time: it and everything derived
             # from it are released before the next spec's is drawn.
-            profile = _Profile(_declared_profile(
+            profile = _Profile(declared_profile(
                 spec, rec.scale, batch.lengths_of(i)
             ))
-            rec.simd = {w: profile.simd_utilisation(w) for w in widths}
-            rec.imbalance = {key: profile.imbalance_factor(*key)
-                             for key in keys}
+            measure(rec, profile, need)
             del profile
     return records
 
@@ -424,9 +407,8 @@ def chunk_records(
     complete = [r is not None and r.covers(fmts) for r in records]
     reuse = [i for i, ok in enumerate(complete) if ok]
     if reuse:
-        gate = _gate(plan, [records[i] for i in reuse])
-        for pos, i in enumerate(reuse):
-            complete[i] = records[i].covers(fmts, *_needed(plan, gate, pos))
+        for i, need in zip(reuse, needs(plan, [records[i] for i in reuse])):
+            complete[i] = records[i].covers(fmts, *need)
     fresh = [i for i, ok in enumerate(complete) if not ok]
     built = build_records([specs[i] for i in fresh], max_nnz, plan)
     for i, rec in zip(fresh, built):

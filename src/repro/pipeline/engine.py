@@ -12,19 +12,14 @@ across chunk boundaries, so the merged table is row-for-row identical
 to a serial sweep regardless of ``jobs``, cache state, faults or
 resume history.
 
-Two dispatch modes execute the parallel chunks:
-
-* ``resilient`` (the default) — a self-managed worker crew with
-  per-chunk deadlines, capped exponential-backoff retries on respawned
-  workers, pool-death detection and graceful degradation: a chunk that
-  keeps failing is re-executed in-process serially, so one poisoned
-  chunk slows the sweep instead of aborting it.  Chunk execution is a
-  pure function of ``(dataset, bounds, args)``, so every retry and
-  fallback produces the same chunk table — the golden resilience suite
-  pins bit-identity under every injected-fault scenario.
-* ``pool`` — the plain ``multiprocessing.Pool`` path (the ≤5%%-overhead
-  baseline for ``benchmarks/bench_resilience.py``); it has no retry,
-  timeout or journal support and assumes a healthy pool.
+Parallel chunks run on a self-managed worker crew with per-chunk
+deadlines, capped exponential-backoff retries on respawned workers,
+pool-death detection and graceful degradation: a chunk that keeps
+failing is re-executed in-process serially, so one poisoned chunk slows
+the sweep instead of aborting it.  Chunk execution is a pure function of
+``(dataset, bounds, args)``, so every retry and fallback produces the
+same chunk table — the golden resilience suite pins bit-identity under
+every injected-fault scenario.
 
 ``run_dir`` makes a run resumable: completed chunks are journalled with
 atomic table shards (:mod:`repro.pipeline.journal`) and
@@ -48,7 +43,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as _conn_wait
@@ -88,17 +82,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None or jobs <= 0:
         return max(os.cpu_count() or 1, 1)
     return jobs
-
-
-def resolve_dispatch(dispatch: Optional[str]) -> str:
-    """Normalise a dispatch request (``None`` → ``REPRO_DISPATCH`` env →
-    ``resilient``)."""
-    mode = dispatch or os.environ.get("REPRO_DISPATCH") or "resilient"
-    if mode not in ("resilient", "pool"):
-        raise ValueError(
-            f"unknown dispatch mode {mode!r}; available: resilient, pool"
-        )
-    return mode
 
 
 def _chunk_bounds(n: int, n_chunks: int) -> List[tuple]:
@@ -162,9 +145,9 @@ def _chunk_table(
     cache,
     progress_put: Optional[Callable[[int], None]] = None,
 ) -> Tuple[SweepTable, Records]:
-    """One pool chunk scored in ``_SERIAL_CHUNK``-sized passes.
+    """One parallel chunk scored in ``_SERIAL_CHUNK``-sized passes.
 
-    Shared verbatim by pool workers, resilient-crew workers and the
+    Shared verbatim by crew workers, journalled serial runs and the
     in-process degradation fallback, so a chunk's table is identical no
     matter where (or how many times) it executes.
     """
@@ -184,29 +167,6 @@ def _chunk_table(
     return table, built
 
 
-# -- worker-side state (initialised once per pool process) ------------------
-_WORKER: dict = {}
-
-
-def _init_worker(specs, max_nnz, name, devices, best_only, formats, seed,
-                 cache_dir, precision, progress_queue=None) -> None:
-    _WORKER["dataset"] = Dataset(specs, max_nnz=max_nnz, name=name)
-    _WORKER["args"] = (
-        devices, best_only, formats, seed, precision,
-        RecordCache(cache_dir) if cache_dir else None,
-    )
-    _WORKER["progress_queue"] = progress_queue
-
-
-def _run_chunk(task):
-    chunk_id, (lo, hi) = task
-    queue = _WORKER.get("progress_queue")
-    put = queue.put if queue is not None else None
-    table, records = _chunk_table(_WORKER["dataset"], lo, hi,
-                                  *_WORKER["args"], progress_put=put)
-    return chunk_id, table, records
-
-
 # -- resilient dispatch ------------------------------------------------------
 def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
                  want_progress) -> None:
@@ -214,11 +174,11 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
     send ``("ok", ...)``/``("error", ...)`` results (plus ``progress``
     ticks) back on a dedicated pipe.  ``None`` is the shutdown sentinel.
     """
-    _init_worker(*init_args)
-    dataset = _WORKER["dataset"]
-    args = _WORKER["args"]
-    cache = args[-1]
-    cache_dir = init_args[7]
+    (specs, max_nnz, name, devices, best_only, formats, seed, cache_dir,
+     precision) = init_args
+    dataset = Dataset(specs, max_nnz=max_nnz, name=name)
+    cache = RecordCache(cache_dir) if cache_dir else None
+    args = (devices, best_only, formats, seed, precision, cache)
     plan = FaultPlan.from_spec(fault_spec)
     while True:
         try:
@@ -583,7 +543,6 @@ def run_sweep(
     chunk_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     report: Optional[RunReport] = None,
-    dispatch: Optional[str] = None,
 ) -> SweepTable:
     """Sharded, cached, fault-tolerant sweep (see module docstring).
 
@@ -594,7 +553,7 @@ def run_sweep(
     scores every cell at fp64 (default) or fp32 — the experiment runner
     sweeps one precision slice at a time.
 
-    Resilience controls (resilient dispatch only): ``run_dir`` journals
+    Resilience controls: ``run_dir`` journals
     completed chunks for ``resume=True`` (``pack_shards`` stores them in
     a single ``shards.rpak`` pack instead of one file per chunk; resume
     always follows the layout journalled at create time, so the flag is
@@ -604,9 +563,7 @@ def run_sweep(
     serial fallback; ``faults`` arms a deterministic
     :class:`FaultPlan` (spec string or instance; default: the
     ``REPRO_FAULTS`` environment variable); ``report`` is a
-    :class:`RunReport` filled in place.  ``dispatch`` selects
-    ``resilient`` (default, also via ``REPRO_DISPATCH``) or the plain
-    ``pool`` baseline.
+    :class:`RunReport` filled in place.
 
     ``progress`` fires monotonically as specs complete — per spec when
     serial, per completed ``_SERIAL_CHUNK``-sized sub-chunk under
@@ -621,7 +578,7 @@ def run_sweep(
                 dataset, devices, best_only, formats, seed, jobs,
                 cache_dir, cache, progress, precision, run_dir, resume,
                 pack_shards, faults, chunk_timeout, max_retries, rep,
-                dispatch, journal_holder,
+                journal_holder,
             )
         rep.status = "complete"
         if journal_holder[0] is not None:
@@ -642,12 +599,11 @@ def run_sweep(
 def _run_sweep_inner(
     dataset, devices, best_only, formats, seed, jobs, cache_dir, cache,
     progress, precision, run_dir, resume, pack_shards, faults,
-    chunk_timeout, max_retries, rep, dispatch, journal_holder,
+    chunk_timeout, max_retries, rep, journal_holder,
 ) -> SweepTable:
     n = len(dataset)
     jobs = resolve_jobs(jobs)
     jobs = min(jobs, max(n, 1))
-    dispatch = resolve_dispatch(dispatch)
     if max_retries is None:
         max_retries = _DEFAULT_MAX_RETRIES
     if cache is None and cache_dir is not None:
@@ -658,17 +614,10 @@ def _run_sweep_inner(
         plan = FaultPlan.from_spec(
             faults or os.environ.get("REPRO_FAULTS")
         )
-    if dispatch == "pool" and (run_dir is not None or plan is not None
-                               or chunk_timeout is not None):
-        raise ValueError(
-            "dispatch='pool' is the plain baseline: it supports no "
-            "run_dir/resume, faults or chunk_timeout — use the default "
-            "resilient dispatch"
-        )
     if resume and run_dir is None:
         raise ValueError("resume=True requires run_dir")
     rep.engine = {
-        "dispatch": dispatch, "jobs": jobs, "precision": precision,
+        "jobs": jobs, "precision": precision,
         "n_specs": n, "max_retries": max_retries,
         "chunk_timeout": chunk_timeout,
         "journalled": run_dir is not None, "resumed": bool(resume),
@@ -721,7 +670,7 @@ def _run_sweep_inner(
 
     args = (devices, best_only, formats, seed, precision, cache)
     try:
-        return _dispatch(dataset, args, jobs, dispatch, cache_dir, plan,
+        return _dispatch(dataset, args, jobs, cache_dir, plan,
                          progress, chunk_timeout, max_retries, rep,
                          journal, bounds, completed, on_chunk_done, keep)
     finally:
@@ -729,7 +678,7 @@ def _run_sweep_inner(
             rep.cache_quarantined += cache.quarantined
 
 
-def _dispatch(dataset, args, jobs, dispatch, cache_dir, plan, progress,
+def _dispatch(dataset, args, jobs, cache_dir, plan, progress,
               chunk_timeout, max_retries, rep, journal, bounds, completed,
               on_chunk_done, keep) -> SweepTable:
     n = len(dataset)
@@ -793,25 +742,21 @@ def _dispatch(dataset, args, jobs, dispatch, cache_dir, plan, progress,
         if chunk_id not in completed
     ]
 
-    if dispatch == "pool":
-        results = _run_pool(ctx, jobs, init_args, bounds, progress, n,
-                            keep)
-    else:
-        sizes = {s.chunk_id: s.size for s in states}
-        base = sum(hi - lo for cid, (lo, hi) in enumerate(bounds)
-                   if cid in completed)
-        meter = _ProgressMeter(sizes, n, base, progress)
+    sizes = {s.chunk_id: s.size for s in states}
+    base = sum(hi - lo for cid, (lo, hi) in enumerate(bounds)
+               if cid in completed)
+    meter = _ProgressMeter(sizes, n, base, progress)
 
-        def serial_fallback(state: _ChunkState):
-            return _chunk_table(dataset, state.lo, state.hi, *args)
+    def serial_fallback(state: _ChunkState):
+        return _chunk_table(dataset, state.lo, state.hi, *args)
 
-        crew = _ResilientDispatch(
-            ctx, jobs, init_args, plan, progress is not None,
-            chunk_timeout, max_retries, rep, meter, serial_fallback,
-            on_chunk_done,
-        )
-        with rep.phase("dispatch"):
-            results = crew.run(states)
+    crew = _ResilientDispatch(
+        ctx, jobs, init_args, plan, progress is not None,
+        chunk_timeout, max_retries, rep, meter, serial_fallback,
+        on_chunk_done,
+    )
+    with rep.phase("dispatch"):
+        results = crew.run(states)
 
     results.update(completed)
     missing = [cid for cid in range(len(bounds)) if cid not in results]
@@ -825,51 +770,3 @@ def _dispatch(dataset, args, jobs, dispatch, cache_dir, plan, progress,
             [results[chunk_id] for chunk_id in sorted(results)]
         )
 
-
-def _run_pool(ctx, jobs, init_args, bounds, progress, n, keep) -> dict:
-    """The plain ``multiprocessing.Pool`` baseline dispatch.
-
-    No retries, deadlines or journal — but teardown is unconditional:
-    the pool is terminated and joined and the progress drain thread is
-    unblocked by its sentinel in a ``finally``, so a worker exception or
-    Ctrl-C never leaves a zombie pool or a dangling thread behind.
-    """
-    progress_queue = ctx.Queue() if progress is not None else None
-    pool_init_args = init_args + (progress_queue,)
-
-    drainer = None
-    if progress_queue is not None:
-        def _drain() -> None:
-            # Exits when every spec is accounted for; the ``None``
-            # sentinel unblocks it on abnormal shutdown.
-            done = 0
-            while done < n:
-                count = progress_queue.get()
-                if count is None:
-                    return
-                done += count
-                progress(done, n)
-
-        drainer = threading.Thread(target=_drain, daemon=True)
-        drainer.start()
-
-    results: dict = {}
-    pool = ctx.Pool(processes=jobs, initializer=_init_worker,
-                    initargs=pool_init_args)
-    try:
-        for chunk_id, chunk, records in pool.imap_unordered(
-            _run_chunk, list(enumerate(bounds))
-        ):
-            results[chunk_id] = chunk
-            keep(records)
-    finally:
-        # Unconditional teardown: terminate + join reaps every worker
-        # even when imap raised (worker exception, Ctrl-C), and the
-        # sentinel releases the drain thread before we join it.
-        pool.terminate()
-        pool.join()
-        if progress_queue is not None:
-            progress_queue.put(None)
-            drainer.join()
-            progress_queue.close()
-    return results

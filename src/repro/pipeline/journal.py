@@ -67,7 +67,7 @@ def sweep_config(dataset, devices, best_only, formats, seed,
 
     Everything that changes the merged table is in here (specs via their
     content keys, devices, seed, precision); everything proven not to
-    (jobs, cache state, dispatch mode) is not, so a run can be resumed
+    (jobs, cache state) is not, so a run can be resumed
     with different parallelism on a different machine.
     """
     digest = hashlib.sha256()

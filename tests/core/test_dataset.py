@@ -1,10 +1,12 @@
-"""Dataset container and sweep integration."""
+"""Dataset container and sweep integration (the instance cache is the
+oracle dataset's, ``tests/oracles/sweep.py``)."""
 
 import pytest
 
 from repro.core.dataset import Dataset, SweepTable, sweep
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
+from tests.oracles.sweep import InstanceDataset
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +16,7 @@ def small_dataset():
         MatrixSpec.from_footprint(8.0, 20, skew_coeff=100, seed=2),
         MatrixSpec.from_footprint(6.0, 5, cross_row_sim=0.9, seed=3),
     ]
-    return Dataset(specs, max_nnz=40_000, name="unit")
+    return InstanceDataset(specs, max_nnz=40_000, name="unit")
 
 
 class TestDataset:

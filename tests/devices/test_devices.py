@@ -1,4 +1,5 @@
-"""Device dataclass, Table-II testbeds, roofline and cache models."""
+"""Device dataclass, Table-II testbeds, roofline and the scalar cache
+model oracle."""
 
 import dataclasses
 
@@ -8,13 +9,12 @@ from repro.devices import (
     TESTBEDS,
     Device,
     DeviceClass,
-    effective_bandwidth,
     get_device,
     list_devices,
     roofline_bounds,
-    x_access_model,
 )
 from repro.devices.roofline import spmv_operational_intensity
+from tests.oracles.devices import effective_bandwidth, x_access_model
 
 
 def _dev(**overrides):

@@ -1,8 +1,9 @@
-"""Energy model: power bounds, scaling, derived metrics."""
+"""Scalar energy model oracle: power bounds, scaling, derived metrics."""
 
 import pytest
 
-from repro.devices import TESTBEDS, EnergyModel
+from repro.devices import TESTBEDS
+from tests.oracles.devices import EnergyModel
 
 
 class TestAveragePower:

@@ -15,8 +15,10 @@ from repro.devices.parallel import (
     nnz_split,
     row_block_partition,
     sell_chunk_imbalance,
+    sell_chunk_widths,
     warp_per_row,
 )
+from tests.oracles import parallel as oracle
 
 # Large enough that tile/diagonal granularity effects are negligible.
 UNIFORM = np.full(16384, 10, dtype=np.int64)
@@ -133,3 +135,36 @@ def test_contiguous_partitions_conserve_work(lengths, workers):
             assert stats.mean_load * stats.n_workers == pytest.approx(
                 arr.sum(), rel=1e-9
             )
+
+
+@given(
+    lengths=st.lists(st.integers(0, 300), min_size=0, max_size=3000),
+    workers=st.integers(1, 80),
+    width=st.sampled_from([1, 4, 8, 32]),
+)
+@settings(max_examples=60, deadline=None)
+def test_partitioners_match_loop_oracle(lengths, workers, width):
+    """The reshape-based partitioners equal the loop oracles bit for bit
+    (every load is an exact integer sum), with and without the shared
+    per-profile precomputations the record builder passes in."""
+    arr = np.array(lengths, dtype=np.int64)
+    for strategy in sorted(PARTITION_STRATEGIES):
+        want = oracle.imbalance_for_strategy(strategy, arr, workers, width)
+        assert imbalance_for_strategy(strategy, arr, workers,
+                                      width) == want, strategy
+    shared = imbalance_for_strategy(
+        "sell_chunk", arr, workers, sell_widths=sell_chunk_widths(arr)
+    )
+    assert shared == oracle.sell_chunk_imbalance(arr, workers)
+    cycles = (arr + width - 1) // width
+    assert imbalance_for_strategy(
+        "warp_row", arr, workers, width, warp_cycles=cycles
+    ) == oracle.warp_per_row(arr, workers, width)
+    csum = np.concatenate(([0], np.cumsum(arr)))
+    for strategy in ("row_block", "nnz_row"):
+        assert imbalance_for_strategy(
+            strategy, arr, workers, csum=csum
+        ) == oracle.imbalance_for_strategy(strategy, arr, workers)
+    for C, sigma in ((16, 16), (8, 64)):
+        assert sell_chunk_imbalance(arr, workers, C=C, sigma=sigma) == \
+            oracle.sell_chunk_imbalance(arr, workers, C=C, sigma=sigma)

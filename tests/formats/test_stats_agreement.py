@@ -3,8 +3,8 @@
 Every :class:`~repro.formats.base.SparseFormat` promises
 ``stats_from_csr(m) == from_csr(m).stats()`` — field for field, and
 error for error (same exception type, same message) — because the
-scoring path (:meth:`repro.perfmodel.MatrixInstance.format_stats`)
-trusts the analytic engine without ever materialising a format.  These
+scoring path (:mod:`repro.perfmodel.record`) trusts the analytic
+engine without ever materialising a format.  These
 tests enforce that promise over the full testbed x format grid on a
 structurally varied instance pool, the archetype fixtures, and the
 instance-level cache/density-hook plumbing.
@@ -18,8 +18,8 @@ from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.formats import FORMAT_REGISTRY, FormatError
 from repro.formats.base import SparseFormat, get_format
-from repro.perfmodel import MatrixInstance
 from tests.conftest import empty_matrix
+from tests.oracles.instance import OracleInstance
 
 ALL_FORMATS = sorted(FORMAT_REGISTRY)
 ARCHETYPES = ["tiny", "regular", "skewed", "irregular", "banded"]
@@ -52,7 +52,7 @@ def assert_agreement(cls, mat, label):
 
 def _inst(mb, avg, name, seed=0, max_nnz=20_000, **kw):
     spec = MatrixSpec.from_footprint(mb, avg, seed=seed, **kw)
-    return MatrixInstance.from_spec(spec, max_nnz=max_nnz, name=name)
+    return OracleInstance.from_spec(spec, max_nnz=max_nnz, name=name)
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +104,14 @@ def test_empty_matrix_agrees(fmt_name):
 
 @pytest.mark.parametrize("fmt_name", ALL_FORMATS)
 def test_instance_engines_agree(instances, fmt_name):
-    """`MatrixInstance.format_stats` returns identical stats (or replays
+    """`OracleInstance.format_stats` returns identical stats (or replays
     identical failures) under the analytic and materialising engines —
     including the density-corrected VSL estimate on scaled instances."""
     for inst in instances:
-        analytic = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
+        analytic = OracleInstance(matrix=inst.matrix, spec=inst.spec,
                                   name=inst.name)
         analytic.stats_engine = "analytic"
-        materialise = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
+        materialise = OracleInstance(matrix=inst.matrix, spec=inst.spec,
                                      name=inst.name)
         materialise.stats_engine = "materialise"
         for attempt in range(2):  # second pass replays from the cache
@@ -135,7 +135,7 @@ def test_density_hook_fires_and_agrees():
     corrected = inst.format_stats("VSL")
     uncorrected = vsl.stats_from_csr(inst.matrix)
     assert corrected != uncorrected
-    materialise = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
+    materialise = OracleInstance(matrix=inst.matrix, spec=inst.spec,
                                  name=inst.name)
     materialise.stats_engine = "materialise"
     assert materialise.format_stats("VSL") == corrected
@@ -143,7 +143,7 @@ def test_density_hook_fires_and_agrees():
 
 def test_unknown_stats_engine_rejected():
     """A typo'd engine must fail loudly, not silently materialise."""
-    inst = MatrixInstance.from_matrix(empty_matrix(3, 4), name="typo")
+    inst = OracleInstance.from_matrix(empty_matrix(3, 4), name="typo")
     inst.stats_engine = "analytical"
     with pytest.raises(ValueError, match="unknown stats_engine"):
         inst.format_stats("Naive-CSR")

@@ -1,28 +1,26 @@
-"""Batched-vs-scalar agreement: the golden suite.
+"""Record-scorer-vs-scalar agreement: the golden suite.
 
 :func:`repro.perfmodel.simulate_grid` promises row-for-row *bit-identical*
-output to the scalar :func:`simulate_spmv` oracle over the full
-(testbed device x its Table-II format list x fp64/fp32) grid — including
-which cells are capacity-gated, with the very same reason strings.  These
-tests enforce that promise on a varied pool of generated instances; if a
-future change to either path breaks the lockstep, a cell here fails with
-the exact coordinates.
+output to the scalar ``simulate_spmv`` oracle (``tests/oracles``) over
+the full (testbed device x its Table-II format list x fp64/fp32) grid —
+including which cells are capacity-gated, with the very same reason
+strings.  These tests enforce that promise on a varied pool of generated
+instances; if a future change to either path breaks the lockstep, a cell
+here fails with the exact coordinates.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.dataset import Dataset, grid_spec_rows, spec_rows, sweep
+from repro.core.dataset import sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.formats.base import CapacityError, FormatError
 from repro.perfmodel import (
-    MatrixInstance,
     simulate_best,
     simulate_best_detailed,
     simulate_grid,
-    simulate_spmv,
 )
 from repro.perfmodel.batch import (
     STATUS_CAPACITY_ERROR,
@@ -30,6 +28,9 @@ from repro.perfmodel.batch import (
     STATUS_OK,
 )
 from repro.perfmodel.simulator import BOTTLENECKS
+from tests.oracles import simulator as oracle
+from tests.oracles.instance import OracleInstance
+from tests.oracles.sweep import InstanceDataset, spec_rows
 
 PRECISIONS = ("fp64", "fp32")
 DEVICES = list(TESTBEDS.values())
@@ -43,7 +44,7 @@ _DIAG_KEYS = (
 
 def _inst(mb, avg, name, seed=0, max_nnz=20_000, **kw):
     spec = MatrixSpec.from_footprint(mb, avg, seed=seed, **kw)
-    return MatrixInstance.from_spec(spec, max_nnz=max_nnz, name=name)
+    return OracleInstance.from_spec(spec, max_nnz=max_nnz, name=name)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def grid(instances):
 def _scalar_cell(inst, fmt, dev, precision):
     """(status, payload): payload is the measurement or the reason str."""
     try:
-        return STATUS_OK, simulate_spmv(
+        return STATUS_OK, oracle.simulate_spmv(
             inst, fmt, dev, seed=SEED, precision=precision
         )
     except CapacityError as exc:
@@ -145,8 +146,8 @@ def test_best_per_matches_simulate_best(grid, instances):
     for p, precision in enumerate(grid.precisions):
         for i, inst in enumerate(instances):
             for d, dev in enumerate(DEVICES):
-                m = simulate_best(inst, dev, seed=SEED,
-                                  precision=precision)
+                m = oracle.simulate_best(inst, dev, seed=SEED,
+                                         precision=precision)
                 idx = best[p, i, d]
                 if m is None:
                     assert idx == -1, (inst.name, dev.name, precision)
@@ -213,13 +214,13 @@ def test_grid_rows_schema_and_order(grid):
 
 
 class TestSweepEngines:
-    """The pipeline's record-scored sweep and the batched instance grid
-    are row-for-row identical to the scalar spec_rows reference."""
+    """The pipeline's record-scored sweep is row-for-row identical to
+    the scalar spec_rows oracle."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
         specs = build_dataset_specs("tiny")[::31]  # strided cross-section
-        return Dataset(specs, max_nnz=6_000, name="agree")
+        return InstanceDataset(specs, max_nnz=6_000, name="agree")
 
     @pytest.mark.parametrize("best_only", [True, False])
     def test_grid_spec_rows_equals_scalar(self, dataset, best_only):
@@ -230,10 +231,9 @@ class TestSweepEngines:
             reference.extend(
                 spec_rows(dataset, i, devices, best_only=best_only)
             )
-        batched = grid_spec_rows(
-            dataset, 0, len(dataset), devices, best_only=best_only
-        )
-        assert batched == reference
+        batched = sweep(dataset, devices, best_only=best_only)
+        assert [{k: v for k, v in row.items() if k != "precision"}
+                for row in batched.rows] == reference
 
     def test_sweep_batch_equals_scalar_engine(self, dataset):
         devices = [TESTBEDS["INTEL-XEON"]]

@@ -1,5 +1,5 @@
 """Hypothesis property tests for simulator invariants shared by the
-scalar and batched paths.
+scalar oracle (``tests/oracles``) and the record scorer.
 
 Each property is asserted on *both* engines for the same randomly
 generated instance, so a violation pinpoints whether the model or the
@@ -19,15 +19,12 @@ from hypothesis import strategies as st
 from repro.core.generator import MatrixSpec, artificial_matrix_generation
 from repro.devices import TESTBEDS
 from repro.formats.base import CapacityError, FormatError
-from repro.perfmodel import (
-    MatrixInstance,
-    measurement_noise,
-    noise_factors,
-    simulate_grid,
-    simulate_spmv,
-)
+from repro.perfmodel import noise_factors, simulate_grid
 from repro.perfmodel.batch import STATUS_CAPACITY_ERROR, STATUS_OK
 from repro.perfmodel.noise import component_hash
+from tests.oracles.instance import OracleInstance
+from tests.oracles.noise import measurement_noise
+from tests.oracles.simulator import simulate_spmv
 
 DEVICE_NAMES = sorted(TESTBEDS)
 
@@ -51,7 +48,7 @@ def small_instances(draw):
         avg_num_neigh=neigh, seed=seed,
     )
     assume(mat.nnz > 0)
-    return MatrixInstance.from_matrix(mat, name=f"prop-{seed}")
+    return OracleInstance.from_matrix(mat, name=f"prop-{seed}")
 
 
 def _cell(inst, fmt, dev, **kw):
@@ -164,7 +161,7 @@ def test_capacity_gate_consistent_between_paths(mb, avg, seed, precision):
     """The FPGA's HBM gate trips in the batched path exactly when the
     scalar path raises CapacityError, with the same message."""
     spec = MatrixSpec.from_footprint(mb, avg, seed=seed)
-    inst = MatrixInstance.from_spec(spec, max_nnz=5_000,
+    inst = OracleInstance.from_spec(spec, max_nnz=5_000,
                                     name=f"cap-{seed}")
     dev = TESTBEDS["Alveo-U280"]
     try:

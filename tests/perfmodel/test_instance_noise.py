@@ -1,4 +1,4 @@
-"""MatrixInstance caching/scaling and the noise model."""
+"""Instance caching/scaling and the scalar noise oracle."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,13 @@ import pytest
 from repro.core.generator import MatrixSpec
 from repro.core.matrix import csr_from_dense
 from repro.formats import FormatError
-from repro.perfmodel import MatrixInstance
-from repro.perfmodel.noise import measurement_noise
+from tests.oracles.instance import OracleInstance
+from tests.oracles.noise import measurement_noise
 
 
 class TestInstance:
     def test_unscaled_passthrough(self, regular_matrix):
-        inst = MatrixInstance.from_matrix(regular_matrix, name="m")
+        inst = OracleInstance.from_matrix(regular_matrix, name="m")
         assert inst.scale == 1.0
         assert inst.nnz == regular_matrix.nnz
         assert inst.n_rows == regular_matrix.n_rows
@@ -22,14 +22,14 @@ class TestInstance:
 
     def test_scaled_instance(self):
         spec = MatrixSpec.from_footprint(256.0, 20, seed=1)
-        inst = MatrixInstance.from_spec(spec, max_nnz=50_000)
+        inst = OracleInstance.from_spec(spec, max_nnz=50_000)
         assert inst.scale > 1.0
         assert inst.n_rows == spec.n_rows
         assert inst.nnz == pytest.approx(spec.nnz_estimate, rel=0.15)
 
     def test_scaled_row_profile_has_declared_rows(self):
         spec = MatrixSpec.from_footprint(64.0, 10, skew_coeff=100, seed=2)
-        inst = MatrixInstance.from_spec(spec, max_nnz=30_000)
+        inst = OracleInstance.from_spec(spec, max_nnz=30_000)
         profile = inst.row_profile()
         assert len(profile) == min(spec.n_rows, 2_000_000)
         # Heavy row fraction preserved at declared scale.
@@ -37,12 +37,12 @@ class TestInstance:
 
     def test_features_carry_declared_footprint(self):
         spec = MatrixSpec.from_footprint(128.0, 20, seed=3)
-        inst = MatrixInstance.from_spec(spec, max_nnz=40_000)
+        inst = OracleInstance.from_spec(spec, max_nnz=40_000)
         assert inst.features.mem_footprint_mb == pytest.approx(128.0,
                                                                rel=0.1)
 
     def test_format_stats_cached(self, regular_matrix):
-        inst = MatrixInstance.from_matrix(regular_matrix)
+        inst = OracleInstance.from_matrix(regular_matrix)
         a = inst.format_stats("Naive-CSR")
         b = inst.format_stats("Naive-CSR")
         assert a is b
@@ -51,7 +51,7 @@ class TestInstance:
         # Scattered matrix: DIA refuses; second call replays from cache.
         rng = np.random.default_rng(4)
         dense = (rng.random((60, 60)) < 0.05).astype(float)
-        inst = MatrixInstance.from_matrix(csr_from_dense(dense))
+        inst = OracleInstance.from_matrix(csr_from_dense(dense))
         with pytest.raises(FormatError):
             inst.format_stats("DIA")
         with pytest.raises(FormatError):

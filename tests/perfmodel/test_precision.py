@@ -6,6 +6,7 @@ from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.perfmodel import MatrixInstance, simulate_best, simulate_spmv
 from repro.perfmodel.simulator import PRECISIONS
+from tests.oracles.instance import OracleInstance
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +59,7 @@ def test_fp32_helps_value_heavy_formats_most(inst):
 def test_fp32_capacity_gate_relaxes():
     """A matrix that overflows the FPGA in fp64 can fit in fp32."""
     spec = MatrixSpec.from_footprint(470, 100, seed=9)
-    inst = MatrixInstance.from_spec(spec, max_nnz=80_000, name="cap")
+    inst = OracleInstance.from_spec(spec, max_nnz=80_000, name="cap")
     dev = TESTBEDS["Alveo-U280"]
     f64_bytes = inst.format_stats("VSL").memory_bytes * inst.scale
     # Only meaningful if fp64 sits near the 4 GiB matrix budget.

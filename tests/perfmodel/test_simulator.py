@@ -100,7 +100,7 @@ class TestCapacityGates:
     def test_format_refusal_propagates(self):
         inst = _inst(8, 5, skew=10000, seed=5)
         with pytest.raises(FormatError):
-            inst.format_stats("ELL")
+            simulate_spmv(inst, "ELL", TESTBEDS["AMD-EPYC-24"])
 
 
 class TestPaperTrends:

@@ -1,13 +1,13 @@
-"""Golden agreement: record sweeps are bit-identical to the instance path.
+"""Golden agreement: record sweeps are bit-identical to the scalar oracle.
 
 The production sweep scores each chunk from per-spec measurement records
-built straight from a structure batch (``repro.perfmodel.record``) —
-the former fused cold path, now the only one.  It must reproduce the
-instance-materialising reference (``grid_spec_table`` /
-``simulate_grid``) row for row — same measurements, same noise, same
-skip reasons, same category order — across execution engines (serial /
-pool), cache states (cold / warm) and every registered format,
-including the scalar fallback and capacity-gated cells.  The hypothesis
+built straight from a structure batch (``repro.perfmodel.record``).  It
+must reproduce the scalar instance oracle (``spec_rows`` and
+``simulate_spmv`` in ``tests/oracles``) row for row — same
+measurements, same noise, same skip reasons, same category order —
+across execution engines (serial / parallel), cache states (cold / warm)
+and every registered format, including the scalar fallback and
+capacity-gated cells.  The hypothesis
 section pins the ``stats_from_csr_batch`` contract itself: a batch entry
 equals the scalar ``stats_from_csr`` outcome (errors included) and is
 invariant under batch order.
@@ -19,13 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_dataset_specs
-from repro.core.dataset import Dataset, grid_spec_table, records_table
+from repro.core.dataset import Dataset, records_table
 from repro.core.matrix import CSRStructBatch, csr_from_coo
+from repro.core.table import SweepTable
 from repro.devices import get_device
-from repro.formats import FORMAT_REGISTRY, FormatError
-from repro.perfmodel.batch import _GridPlan, _score_grid, simulate_grid
-from repro.perfmodel.record import RecordSource, build_records
+from repro.formats import FORMAT_REGISTRY, CapacityError, FormatError
+from repro.perfmodel.batch import (
+    DIAGNOSTIC_KEYS, STATUS_CAPACITY_ERROR, STATUS_FORMAT_ERROR, STATUS_OK,
+    _GridPlan, _score_grid,
+)
+from repro.perfmodel.record import build_records
+from repro.perfmodel.simulator import BOTTLENECKS
 from repro.pipeline.engine import run_sweep
+from tests.oracles.simulator import simulate_spmv
+from tests.oracles.sweep import InstanceDataset, spec_rows
 
 DEVICE_NAMES = ("AMD-EPYC-24", "Tesla-A100", "Alveo-U280")
 MAX_NNZ = 60_000
@@ -44,14 +51,17 @@ def golden_specs():
     return [specs[i] for i in SPEC_INDICES]
 
 
-def _dataset(specs):
-    return Dataset(specs, max_nnz=MAX_NNZ, name="golden")
+def _dataset(specs, cls=Dataset):
+    return cls(specs, max_nnz=MAX_NNZ, name="golden")
 
 
 def _reference(specs, best_only, formats=None):
-    """The instance reference path over the whole spec list."""
-    return grid_spec_table(_dataset(specs), 0, len(specs), _devices(),
-                           best_only=best_only, formats=formats)
+    """The scalar oracle's table over the whole spec list."""
+    dataset = _dataset(specs, InstanceDataset)
+    rows = [row for i in range(len(specs))
+            for row in spec_rows(dataset, i, _devices(),
+                                 best_only=best_only, formats=formats)]
+    return SweepTable.from_rows(rows).with_constant("precision", "fp64")
 
 
 def _assert_tables_equal(a, b, context=""):
@@ -119,36 +129,47 @@ def test_fused_covers_every_registered_format(golden_specs):
 
 def test_fused_grid_bit_identity_and_skip_sets(golden_specs):
     """Grid-level check, stronger than the table: every cell of the
-    structured array (scored or skipped), every skip reason string and
-    the capacity-skip set must match exactly."""
-    dataset = _dataset(golden_specs)
+    record-scored grid (scored or skipped) — measurements, diagnostics,
+    bottleneck and skip reason — must equal the scalar oracle's call."""
+    dataset = _dataset(golden_specs, InstanceDataset)
     n = len(golden_specs)
     # Explicit all-formats grid: the device Table-II defaults exclude the
     # refusing formats (ELL/DIA), so only the full registry exercises
     # format_error cells alongside the capacity gate.
     formats = sorted(FORMAT_REGISTRY)
-    instances = [dataset.instance(i) for i in range(n)]
-    ref = simulate_grid(instances, _devices(), formats=formats)
-    records = build_records(golden_specs, MAX_NNZ,
-                            _GridPlan(_devices(), formats))
-    source = RecordSource(records, [f"golden[{i}]" for i in range(n)])
-    got = _score_grid(source, _devices(), formats=formats)
+    plan = _GridPlan(_devices(), formats)
+    records = build_records(golden_specs, MAX_NNZ, plan)
+    got = _score_grid(records, [f"golden[{i}]" for i in range(n)], plan)
 
-    assert ref.instance_names == got.instance_names
-    assert ref.device_names == got.device_names
-    assert ref.format_names == got.format_names
-    assert ref.device_slices == got.device_slices
-    for field in ref.data.dtype.names:
-        a, b = ref.data[field], got.data[field]
-        if a.dtype.kind == "f":
-            assert np.array_equal(a, b, equal_nan=True), field
-        else:
-            assert np.array_equal(a, b), field
-    assert ref.skip_reasons == got.skip_reasons
-    assert ref.capacity_skip_set() == got.capacity_skip_set()
+    assert got.instance_names == [dataset.instance(i).name
+                                  for i in range(n)]
+    capacity = set()
+    for idx, cell in enumerate(got.data):
+        inst = dataset.instance(int(cell["instance"]))
+        dev = _devices()[cell["device"]]
+        fmt = got.format_names[cell["format"]]
+        coords = (inst.name, dev.name, fmt)
+        try:
+            m = simulate_spmv(inst, fmt, dev)
+        except CapacityError as exc:
+            assert cell["status"] == STATUS_CAPACITY_ERROR, coords
+            assert got.skip_reasons[idx] == str(exc), coords
+            capacity.add(coords + ("fp64",))
+            continue
+        except FormatError as exc:
+            assert cell["status"] == STATUS_FORMAT_ERROR, coords
+            assert got.skip_reasons[idx] == str(exc), coords
+            continue
+        assert cell["status"] == STATUS_OK, coords
+        for key in ("gflops", "time_s", "watts", "gflops_per_watt"):
+            assert cell[key] == getattr(m, key), (coords, key)
+        for key in DIAGNOSTIC_KEYS:
+            assert cell[key] == m.diagnostics[key], (coords, key)
+        assert BOTTLENECKS[cell["bottleneck"]] == m.bottleneck, coords
+    assert got.capacity_skip_set() == capacity
     # The golden spec selection must actually exercise both skip kinds.
-    assert ref.skips(kind="capacity"), "no capacity skips in golden set"
-    assert ref.skips(kind="format"), "no format refusals in golden set"
+    assert got.skips(kind="capacity"), "no capacity skips in golden set"
+    assert got.skips(kind="format"), "no format refusals in golden set"
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ class TestConfigFingerprint:
                 != base["dataset_sha"])
 
     def test_parallelism_knobs_are_not_fingerprinted(self):
-        # jobs / cache / dispatch are proven not to change the table, so
-        # a run may be resumed with different parallelism elsewhere.
-        assert {"jobs", "cache_dir", "dispatch"} & set(config()) == set()
+        # jobs / cache are proven not to change the table, so a run may
+        # be resumed with different parallelism elsewhere.
+        assert {"jobs", "cache_dir"} & set(config()) == set()
 
 
 class TestJournalLifecycle:

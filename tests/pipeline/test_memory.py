@@ -11,7 +11,7 @@ import tracemalloc
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
-from repro.perfmodel.instance import MAX_PROFILE_ROWS
+from repro.perfmodel.record import MAX_PROFILE_ROWS
 
 DEVICES = [TESTBEDS["INTEL-XEON"], TESTBEDS["Tesla-A100"]]
 # Tiny-preset specs declaring more than MAX_PROFILE_ROWS rows each.

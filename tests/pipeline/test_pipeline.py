@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.core.dataset import Dataset, spec_rows, sweep
+from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.core.table import SweepTable
@@ -17,6 +17,7 @@ from repro.devices import TESTBEDS
 from repro.perfmodel.batch import _GridPlan
 from repro.perfmodel.record import SpecRecord, build_records
 from repro.pipeline import RecordCache, run_sweep, resolve_jobs, spec_key
+from tests.oracles.sweep import InstanceDataset, spec_rows
 
 DEVICES = [TESTBEDS["AMD-EPYC-24"], TESTBEDS["Tesla-A100"]]
 MAX_NNZ = 6_000
@@ -25,8 +26,8 @@ TINY = build_dataset_specs("tiny")
 SPECS = TINY if os.environ.get("REPRO_EXHAUSTIVE") == "1" else TINY[::7]
 
 
-def tiny_dataset(specs=None, name="tiny"):
-    return Dataset(
+def tiny_dataset(specs=None, name="tiny", cls=Dataset):
+    return cls(
         SPECS if specs is None else specs, max_nnz=MAX_NNZ, name=name,
     )
 
@@ -75,7 +76,7 @@ class TestParallelDeterminism:
         assert sweep(
             tiny_dataset(), DEVICES, precision="fp32", jobs=2
         ).rows == fp32.rows
-        dataset = tiny_dataset()
+        dataset = tiny_dataset(cls=InstanceDataset)
         scalar = [
             row for i in range(len(dataset))
             for row in spec_rows(dataset, i, DEVICES, precision="fp32")

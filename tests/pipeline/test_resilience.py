@@ -25,7 +25,6 @@ from repro.devices import TESTBEDS
 from repro.pipeline import (
     FaultPlan, ResumeError, RunJournal, RunReport, run_sweep,
 )
-from repro.pipeline.engine import resolve_dispatch
 
 from tests.pipeline.golden import assert_bit_identical
 
@@ -184,7 +183,6 @@ class TestResume:
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env.pop("REPRO_FAULTS", None)
-        env.pop("REPRO_DISPATCH", None)
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(run_dir)],
             env=env, start_new_session=True,
@@ -214,32 +212,6 @@ class TestResume:
                           resume=True, report=rep)
         assert_bit_identical(table, golden)
         assert rep.chunks_resumed >= 2
-
-
-class TestDispatchModes:
-    def test_pool_baseline_parity(self, golden):
-        rep = RunReport()
-        table = run_sweep(dataset(), DEVICES, jobs=2, dispatch="pool",
-                          report=rep)
-        assert_bit_identical(table, golden)
-        assert rep.engine["dispatch"] == "pool"
-
-    def test_pool_rejects_resilience_controls(self, tmp_path):
-        for kwargs in ({"run_dir": tmp_path / "r"},
-                       {"faults": "crash@0"},
-                       {"chunk_timeout": 5.0}):
-            with pytest.raises(ValueError, match="pool"):
-                run_sweep(dataset(), DEVICES, jobs=2, dispatch="pool",
-                          **kwargs)
-
-    def test_resolve_dispatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        assert resolve_dispatch(None) == "resilient"
-        assert resolve_dispatch("pool") == "pool"
-        monkeypatch.setenv("REPRO_DISPATCH", "pool")
-        assert resolve_dispatch(None) == "pool"
-        with pytest.raises(ValueError, match="dispatch"):
-            resolve_dispatch("carrier-pigeon")
 
 
 class TestRunReport:

@@ -101,17 +101,11 @@ class TestBadArguments:
         assert rc == 2
         assert "already exists" in capsys.readouterr().err
 
-    def test_pool_dispatch_rejects_faults(self, tmp_path, capsys):
-        rc = main(BASE + ["--jobs", "2", "--dispatch", "pool",
-                          "--faults", "crash@0",
-                          "--out", str(tmp_path / "t.npz")])
-        assert rc == 2
-        assert "pool" in capsys.readouterr().err
-
-
-class TestDispatchFlag:
-    def test_pool_dispatch_parity(self, tmp_path, clean_table):
-        out = tmp_path / "pool.npz"
-        assert main(BASE + ["--jobs", "2", "--dispatch", "pool",
-                            "--out", str(out)]) == 0
-        assert_bit_identical(SweepTable.from_npz(out), clean_table)
+    def test_dispatch_flag_is_gone(self, tmp_path, capsys):
+        """Sweeps have one parallel engine; ``--dispatch`` is an unknown
+        argument (argparse exit 2)."""
+        with pytest.raises(SystemExit) as err:
+            main(BASE + ["--jobs", "2", "--dispatch", "pool",
+                         "--out", str(tmp_path / "t.npz")])
+        assert err.value.code == 2
+        assert "--dispatch" in capsys.readouterr().err

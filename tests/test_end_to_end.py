@@ -2,29 +2,31 @@
 
 The whole chain — sweep, selector training, batched evaluation — must
 produce *identical* results across every execution engine: serial vs
-parallel sweeps, the record sweep vs the scalar and batched instance
-reference paths, analytic vs materialised format stats, batched vs
-scalar selector evaluation.  Any drift in any layer shows up here as a
+parallel sweeps, the record sweep vs the scalar instance oracle
+(``tests/oracles``) under either stats engine, batched vs scalar
+selector evaluation.  Any drift in any layer shows up here as a
 field-level diff of the SelectionReport (and of the raw measurement
 rows, checked first for a sharper failure signal).
 """
 
 import pytest
 
-from repro.core.dataset import Dataset, grid_spec_table, spec_rows, sweep
+from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.core.table import SweepTable
 from repro.ml import FormatSelector, KNeighborsRegressor
+from tests.oracles.instance import OracleInstance
+from tests.oracles.sweep import InstanceDataset, spec_rows
 
 N_SPECS = 8
 MAX_NNZ = 20_000
 DEVICE = "INTEL-XEON"
 
 
-def _dataset():
-    return Dataset(
+def _dataset(cls=Dataset):
+    return cls(
         build_dataset_specs("tiny")[:N_SPECS], max_nnz=MAX_NNZ,
         name="golden",
     )
@@ -33,21 +35,15 @@ def _dataset():
 def _table(jobs=1, engine="sweep", stats_engine="analytic",
            cache_dir=None):
     """The golden sweep through the production path (``engine="sweep"``)
-    or one of the instance reference paths: the scalar ``spec_rows``
-    loop or the batched ``grid_spec_table``."""
-    from repro.perfmodel.instance import MatrixInstance
-
-    assert MatrixInstance.stats_engine == "analytic"  # default unchanged
-    dataset = _dataset()
+    or the scalar ``spec_rows`` oracle (``engine="scalar"``)."""
+    assert OracleInstance.stats_engine == "analytic"  # default unchanged
     devices = [TESTBEDS[DEVICE]]
     if engine == "sweep":
-        return sweep(dataset, devices, best_only=False, seed=0,
+        return sweep(_dataset(), devices, best_only=False, seed=0,
                      jobs=jobs, cache_dir=cache_dir)
-    for i in range(len(dataset)):
-        dataset.instance(i).stats_engine = stats_engine
-    if engine == "grid":
-        return grid_spec_table(dataset, 0, len(dataset), devices,
-                               best_only=False)
+    dataset = _dataset(InstanceDataset)
+    for inst in dataset.instances():
+        inst.stats_engine = stats_engine
     rows = [row for i in range(len(dataset))
             for row in spec_rows(dataset, i, devices, best_only=False)]
     return SweepTable.from_rows(rows).with_constant("precision", "fp64")
@@ -103,7 +99,7 @@ class TestGoldenChain:
         assert report == golden[1]
 
     def test_materialised_stats_match_analytic(self, golden):
-        rows, report = _chain(engine="grid", stats_engine="materialise")
+        rows, report = _chain(engine="scalar", stats_engine="materialise")
         assert rows == golden[0]
         assert report == golden[1]
 
