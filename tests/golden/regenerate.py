@@ -1,12 +1,14 @@
-"""Rewrite the golden sweep table, the single-matrix golden and their
-SHA-256 files.
+"""Rewrite the golden sweep table, the single-matrix golden, the
+selector-artifact golden and their SHA-256 files.
 
     PYTHONPATH=src python -m tests.golden.regenerate
 
-Run from the repository root, and only when a change to the sweep rows
-or the single-matrix results is intended; say why in ``CHANGES.md``.
+Run from the repository root, and only when a change to the sweep rows,
+the single-matrix results or the selector artifacts is intended; say
+why in ``CHANGES.md``.
 """
 
+from tests.golden import artifacts
 from tests.golden.golden import (
     SHA_PATH, TABLE_PATH, canonical_csv, golden_sweep, sha256,
 )
@@ -29,6 +31,11 @@ def main() -> None:
     SINGLE_SHA_PATH.write_text(sha_text(single, validate))
     print(f"wrote {SINGLE_PATH} ({len(single)} bytes), {VALIDATE_PATH} "
           f"and {SINGLE_SHA_PATH}")
+
+    # Trained from the table just written.
+    artifacts.write_all()
+    print(f"wrote {artifacts.REPORTS_PATH}, {artifacts.SELECT_PATH} and "
+          f"{artifacts.SHA_PATH}")
 
 
 if __name__ == "__main__":
