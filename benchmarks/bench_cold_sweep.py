@@ -10,8 +10,9 @@ from the CSR structure arrays.  This bench times both engines on fresh
 pools of oracle instances (``tests/oracles``, which keep the engine
 switch) over the full testbed format union, asserts the stats
 (and refusals) are identical cell-for-cell, gates the analytic path at
->= 5x instance throughput, and records the presorted selector-tree
-training speedup.  Results land in
+>= 5x instance throughput, and records the selector-tree training
+speedup of the library's presorted search over the re-sorting oracle
+tree (``tests/oracles/tree.py``).  Results land in
 ``benchmarks/results/BENCH_cold_sweep.json`` next to the grid and
 pipeline benches.
 
@@ -29,9 +30,11 @@ import numpy as np
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.formats.base import FormatError
+from repro.ml.tree import DecisionTreeRegressor
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
 from tests.oracles.instance import OracleInstance
+from tests.oracles.tree import OracleTree
 
 BENCH_PATH = RESULTS_DIR / "BENCH_cold_sweep.json"
 
@@ -79,8 +82,8 @@ def _run_engine(engine: str):
 
 
 def _tree_fit_times():
-    """Presorted vs re-sorting selector-tree fit on a bench-sized set."""
-    from repro.ml.tree import DecisionTreeRegressor
+    """Presorted library vs re-sorting oracle tree fit on a bench-sized
+    set."""
 
     rng = np.random.default_rng(0)
     n, d = 4000, 12
@@ -88,10 +91,10 @@ def _tree_fit_times():
     X[:, 0] = np.round(X[:, 0], 1)
     y = X @ rng.normal(size=d) + 0.3 * rng.normal(size=n)
     t0 = time.perf_counter()
-    fast = DecisionTreeRegressor(presort=True).fit(X, y)
+    fast = DecisionTreeRegressor().fit(X, y)
     t_presort = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ref = DecisionTreeRegressor(presort=False).fit(X, y)
+    ref = OracleTree().fit(X, y)
     t_legacy = time.perf_counter() - t0
     np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
     return t_presort, t_legacy

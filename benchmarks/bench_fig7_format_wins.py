@@ -5,7 +5,7 @@ CPU; research formats collect their wins on the problematic (large /
 unbalanced / irregular) matrices even though vendor formats lead overall.
 """
 
-from collections import defaultdict
+import numpy as np
 
 from repro.analysis import box_stats, format_table, format_wins
 from repro.formats import get_format
@@ -16,30 +16,26 @@ DEVICES = ("AMD-EPYC-24", "Tesla-V100", "Alveo-U280")
 
 
 def _best_rows(formats_sweep, device):
-    """Reduce a per-format sweep to one best row per matrix."""
-    best = {}
-    for r in formats_sweep.rows:
-        if r["device"] != device:
-            continue
-        key = r["matrix"]
-        if key not in best or r["gflops"] > best[key]["gflops"]:
-            best[key] = r
-    return list(best.values())
+    """Reduce a per-format sweep to one best row per matrix (the first
+    of equal bests), matrices in first-appearance order."""
+    dev = formats_sweep.where(device=device)
+    group, _ = dev.group_index("matrix")
+    order = np.lexsort((-dev.column("gflops"), group))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = group[order][1:] != group[order][:-1]
+    return dev.select(order[first])
 
 
 def _fig7(formats_sweep):
     sections = []
     wins_by_dev = {}
     for dev in DEVICES:
-        per_fmt = defaultdict(list)
-        for r in formats_sweep.rows:
-            if r["device"] == dev:
-                per_fmt[r["format"]].append(r["gflops"])
         wins = format_wins(_best_rows(formats_sweep, dev))
         wins_by_dev[dev] = wins
         table_rows = []
-        for fmt, values in sorted(per_fmt.items()):
-            s = box_stats(values)
+        per_fmt = formats_sweep.where(device=dev).groupby("format")
+        for fmt, sub in sorted(per_fmt, key=lambda kv: kv[0]):
+            s = box_stats(sub.column("gflops"))
             table_rows.append([
                 fmt, get_format(fmt).category, round(wins.get(fmt, 0.0), 1),
                 s.n, round(s.q1, 1), round(s.median, 1), round(s.q3, 1),
@@ -78,18 +74,17 @@ def test_fig7_research_formats_win_problematic(benchmark, formats_sweep):
 
     def _research_share():
         best = _best_rows(formats_sweep, "AMD-EPYC-24")
-        problematic = [
-            r for r in best
-            if r["req_footprint_mb"] >= 256
-            and (r["req_skew"] >= 1000 or r["req_sim"] <= 0.05)
-        ]
-        if not problematic:
+        problematic = (best.column("req_footprint_mb") >= 256) & (
+            (best.column("req_skew") >= 1000)
+            | (best.column("req_sim") <= 0.05)
+        )
+        if not problematic.any():
             return None
-        research = [
-            r for r in problematic
-            if get_format(r["format"]).category == "research"
-        ]
-        return len(research) / len(problematic)
+        research = sum(
+            get_format(f).category == "research"
+            for f in best.column("format")[problematic]
+        )
+        return research / int(problematic.sum())
 
     share = benchmark(_research_share)
     emit(

@@ -16,6 +16,7 @@ fill and warm runs (speed must not change results).
 
 import json
 import time
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,9 @@ from repro.core.generator import artificial_matrix_generation
 from repro.devices import TESTBEDS
 
 from conftest import JOBS, MAX_NNZ, RESULTS_DIR, SCALE, emit
+from tests.oracles.generator import (
+    artificial_matrix_generation as baseline_generation,
+)
 
 BENCH_PATH = RESULTS_DIR / "BENCH_pipeline.json"
 # Committed snapshot at the repo root (also a CI artifact).
@@ -129,15 +133,19 @@ def test_sweep_cold_vs_warm(results, tmp_path_factory):
 
 
 def test_generator_engines(results):
-    """Vectorised rowwise vs the sequential baseline vs chain at ~1M nnz."""
+    """Vectorised rowwise vs the sequential baseline (the Listing-1
+    oracle in ``tests/oracles/generator.py``) vs chain at ~1M nnz."""
+    engines = {
+        "rowwise": partial(artificial_matrix_generation, method="rowwise"),
+        "rowwise-baseline": baseline_generation,
+        "chain": partial(artificial_matrix_generation, method="chain"),
+    }
     timings = {}
-    for method in ("rowwise", "rowwise-baseline", "chain"):
+    for method, generate in engines.items():
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            m = artificial_matrix_generation(
-                GEN_ROWS, GEN_ROWS, GEN_AVG, seed=7, method=method
-            )
+            m = generate(GEN_ROWS, GEN_ROWS, GEN_AVG, seed=7)
             best = min(best, time.perf_counter() - t0)
         timings[method] = (best, m.nnz)
 

@@ -2,10 +2,10 @@
 
 Cross-validated experiments evaluate a fitted
 :class:`~repro.ml.FormatSelector` over whole held-out folds.  The scalar
-oracle re-enters ``model.predict`` once per (instance, format) — for a
-25-tree forest over 8 formats that is 200 single-row tree walks per
-matrix — while the batched path builds the feature matrix once and
-issues **one** predict per format over the entire fold.  This bench
+oracle (``tests/oracles/selector.py``) re-enters ``model.predict`` once
+per (instance, format) — for a 25-tree forest over 8 formats that is 200
+single-row tree walks per matrix — while the library builds the feature
+matrix once and issues **one** predict per format over the entire fold.  This bench
 fits one selector, scores the same held-out set through both paths,
 asserts the reports are identical, gates the batched path at >= 5x, and
 times a small end-to-end k-fold experiment for context.  Results land in
@@ -27,6 +27,7 @@ from repro.devices import TESTBEDS
 from repro.ml import FormatSelector
 
 from conftest import RESULTS_DIR, emit
+from tests.oracles import selector as oracle
 
 BENCH_PATH = RESULTS_DIR / "BENCH_selector.json"
 
@@ -73,8 +74,13 @@ def _fitted():
 
 
 def _time_evaluate(selector, held_out, batch):
+    """The library's batched evaluate, or with ``batch=False`` the
+    per-instance scalar oracle."""
     t0 = time.perf_counter()
-    report = selector.evaluate(held_out, batch=batch)
+    if batch:
+        report = selector.evaluate(held_out)
+    else:
+        report = oracle.evaluate(selector, held_out)
     return report, time.perf_counter() - t0
 
 

@@ -25,6 +25,7 @@ from repro.core.table import SweepTable
 from repro.ml.selector import MINIMAL_FEATURES, FormatSelector
 
 from conftest import RESULTS_DIR, emit
+from tests.oracles import selector as oracle
 
 BENCH_PATH = RESULTS_DIR / "BENCH_table.json"
 
@@ -115,13 +116,16 @@ def _bench(table, rows):
     assert g_col == g_dict
 
     # -- selector feed: grouping + feature matrix + per-format targets -
-    def feed(data):
-        return FormatSelector(
-            FORMATS, model_factory=_NullModel
-        ).fit(data)
+    # (the dict side is the dict-row fit of tests/oracles/selector.py)
+    def selector():
+        return FormatSelector(FORMATS, model_factory=_NullModel)
 
-    _, times["selector_feed_columnar_s"] = _timed(lambda: feed(table))
-    _, times["selector_feed_dict_s"] = _timed(lambda: feed(rows))
+    _, times["selector_feed_columnar_s"] = _timed(
+        lambda: selector().fit(table)
+    )
+    _, times["selector_feed_dict_s"] = _timed(
+        lambda: oracle.fit(selector(), rows)
+    )
 
     return times
 

@@ -1,9 +1,8 @@
 """Format 'wins' accounting (the bars behind Fig 7's boxplots).
 
-Every function accepts either a :class:`~repro.core.table.SweepTable`
-(vectorised column reductions — the production path) or legacy dict
-rows (the reference implementation the parity suite pins the columnar
-path against, field for field).
+Every function takes a :class:`~repro.core.table.SweepTable`, or dict
+rows / a ``GridResult`` converted once by
+:func:`~repro.core.table.as_table`, and reduces its columns.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..core.table import SweepTable
+from ..core.table import as_table
 
 __all__ = ["format_wins", "win_table", "confusion_table"]
 
@@ -24,39 +23,27 @@ def format_wins(rows) -> Dict[str, float]:
     ``rows`` must carry one *best* measurement per matrix (the output of a
     ``best_only`` sweep for one device): keys ``format``.
     """
-    if isinstance(rows, SweepTable):
-        if len(rows) == 0:
-            return {}
-        codes = rows.codes("format")
-        cats = rows.categories("format")
-        counts = np.bincount(codes, minlength=len(cats))
-        total = len(rows)
-        return {
-            fmt: 100.0 * int(c) / total
-            for fmt, c in sorted(zip(cats, counts))
-            if c
-        }
-    counts: Dict[str, int] = defaultdict(int)
-    for r in rows:
-        counts[r["format"]] += 1
-    total = sum(counts.values())
-    if total == 0:
+    table = as_table(rows)
+    if len(table) == 0:
         return {}
-    return {fmt: 100.0 * c / total for fmt, c in sorted(counts.items())}
+    counts = np.bincount(
+        table.codes("format"), minlength=len(table.categories("format"))
+    )
+    return {
+        fmt: 100.0 * int(c) / len(table)
+        for fmt, c in sorted(zip(table.categories("format"), counts))
+        if c
+    }
 
 
 def win_table(
     rows, devices: Sequence[str]
 ) -> Dict[str, Dict[str, float]]:
     """Per-device win percentages: ``{device: {format: pct}}``."""
-    out: Dict[str, Dict[str, float]] = {}
-    for dev in devices:
-        if isinstance(rows, SweepTable):
-            dev_rows = rows.where(device=dev)
-        else:
-            dev_rows = [r for r in rows if r["device"] == dev]
-        out[dev] = format_wins(dev_rows)
-    return out
+    table = as_table(rows)
+    if len(table) == 0:
+        return {dev: {} for dev in devices}
+    return {dev: format_wins(table.where(device=dev)) for dev in devices}
 
 
 def confusion_table(

@@ -12,9 +12,12 @@ selector trains from its columns, the analysis reductions are array
 passes over it, and ``io`` persists it losslessly as NPZ or typed CSV.
 
 ``to_rows()``/``from_rows()`` are the compatibility shims to the
-historical dict-row schema; the golden agreement suites use them to pin
-every columnar fast path bit-identical to the dict-row reference
-behaviour.  See ``docs/table_schema.md`` for the full schema.
+historical dict-row schema, and :func:`as_table` is the one boundary
+where the selector and the analysis reductions accept dict rows or a
+``GridResult``: it converts them once, and every body after it is
+columnar.  The agreement suites pin those bodies against the dict-row
+references in ``tests/oracles``.  See ``docs/table_schema.md`` for the
+full schema.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 __all__ = [
     "SweepTable",
+    "as_table",
     "SchemaVersionError",
     "SCHEMA_VERSION",
     "CATEGORICAL_COLUMNS",
@@ -697,3 +701,32 @@ class SweepTable:
                 if cat_key in npz.files:
                     categories[name] = [str(c) for c in npz[cat_key]]
         return cls(columns, categories)
+
+
+# Identity columns a measurement row may leave unset (``None``).
+_KEY_COLUMNS = ("matrix", "spec_index", "instance")
+
+
+def as_table(data) -> SweepTable:
+    """The measurement table behind ``data``, converted once.
+
+    A :class:`SweepTable` passes through unchanged.  Anything with a
+    ``to_rows()`` method (a :class:`~repro.perfmodel.batch.GridResult`,
+    whose rows carry the feature columns) or a sequence of dict rows
+    goes through :meth:`SweepTable.from_rows`.  An identity column
+    (``matrix``, ``spec_index``, ``instance``) that some row leaves as
+    ``None`` names no matrix, so it is dropped rather than encoded;
+    per-matrix grouping then falls back to the next identity column.
+    """
+    if isinstance(data, SweepTable):
+        return data
+    rows = data.to_rows() if hasattr(data, "to_rows") else list(data)
+    unset = {
+        key for r in rows for key in _KEY_COLUMNS
+        if key in r and r[key] is None
+    }
+    if unset:
+        rows = [
+            {k: v for k, v in r.items() if k not in unset} for r in rows
+        ]
+    return SweepTable.from_rows(rows)

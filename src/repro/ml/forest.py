@@ -25,7 +25,6 @@ class RandomForestRegressor:
         min_samples_leaf: int = 3,
         max_features: Optional[int] = None,
         random_state: int = 0,
-        presort: bool = True,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -34,7 +33,6 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.presort = presort
         self.trees_ = []
 
     def fit(self, X, y) -> "RandomForestRegressor":
@@ -53,7 +51,6 @@ class RandomForestRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=m,
                 random_state=int(rng.integers(0, 2**31 - 1)),
-                presort=self.presort,
             )
             tree.fit(X[idx], y[idx])
             self.trees_.append(tree)
@@ -74,8 +71,8 @@ class RandomForestRegressor:
         # switches between pairwise and strided reduction with the batch
         # width, which would make batched predictions differ from
         # single-row ones in the last ulp.  This order is identical for
-        # every batch size, keeping the selector's batch path bit-equal
-        # to its scalar oracle.
+        # every batch size, so a row's prediction does not depend on the
+        # batch it arrives in.
         out = np.zeros(len(X), dtype=np.float64)
         for tree in self.trees_:
             out += tree.predict(X)
@@ -97,6 +94,8 @@ class RandomForestRegressor:
     @classmethod
     def from_state(cls, state: dict) -> "RandomForestRegressor":
         n_trees = int(state["n_trees"])
+        if n_trees < 1:
+            raise ValueError(f"forest state holds {n_trees} trees")
         model = cls(n_estimators=max(n_trees, 1))
         model.trees_ = [
             DecisionTreeRegressor.from_arrays({

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.table import SweepTable, _write_npz
+from ..core.table import SweepTable, _write_npz, as_table
 from .forest import RandomForestRegressor
 from .knn import KNeighborsRegressor
 from .linear import LinearRegression, RidgeRegression
@@ -40,8 +40,10 @@ _KIND_OF = {cls: kind for kind, cls in MODEL_IO.items()}
 
 
 class SelectorVersionError(ValueError):
-    """A selector artifact from an incompatible schema version (the
+    """A selector artifact this build cannot load — not an artifact,
+    another schema version, or a corrupt model state (the
     :class:`~repro.core.table.SchemaVersionError` convention)."""
+
 
 MINIMAL_FEATURES = [
     "mem_footprint_mb",
@@ -52,78 +54,41 @@ MINIMAL_FEATURES = [
 ]
 
 
-def _instance_key(row: dict):
-    """Explicit grouping key tying a measurement row to its matrix.
+def _check_coordinates(table: SweepTable) -> None:
+    """Refuse tables that mix devices or precisions.
 
-    Per-format rows of one matrix must collapse to one training example,
-    so the key has to be stable across rows: the matrix name when
-    present, else the sweep's ``spec_index`` or the grid's ``instance``
-    index.  Rows with none of these are ambiguous — grouping them by
-    object identity would silently treat every row as a distinct matrix
-    (each format row becomes its own "matrix" with exactly one
-    observation), so we refuse instead.
+    The selector's feature vector carries no device/precision
+    coordinate, so rows from several devices (or fp64+fp32) would
+    assign conflicting targets to one feature vector.  Train one
+    selector per (device, precision) slice instead.
     """
-    name = row.get("matrix")
-    if name:
-        return ("matrix", name)
-    for alt in ("spec_index", "instance"):
-        value = row.get(alt)
-        if value is not None:
-            return (alt, value)
-    raise ValueError(
-        "measurement row carries no 'matrix' name, 'spec_index' or "
-        "'instance' key to group per-format rows by; add one of them "
-        "(anonymous rows cannot be grouped unambiguously)"
-    )
-
-
-def _mixed_coordinate_error(coord: str, seen) -> ValueError:
-    return ValueError(
-        f"measurement rows span multiple {coord}s "
-        f"({sorted(seen)}); fit one selector per {coord} "
-        "(filter the rows or simulate one grid slice at a time)"
-    )
-
-
-def _as_rows(rows):
-    """Accept dict rows or a ``GridResult`` (duck-typed on
-    ``to_rows(with_features=...)``), and refuse row sets that mix
-    devices or precisions.
-
-    ``SweepTable`` never reaches this path — fit/evaluate consume its
-    columns directly; this shim materialises the *other* row sources
-    exactly once.  The selector's feature vector carries no
-    device/precision coordinate, so rows from several devices (or
-    fp64+fp32) would assign conflicting targets to one feature vector —
-    and per-format dicts would silently keep whichever device's row came
-    last.  Train one selector per (device, precision) slice instead.
-    """
-    if hasattr(rows, "to_rows"):
-        rows = rows.to_rows(with_features=True)
-    else:
-        rows = list(rows)  # materialise: inspected twice below
-    for coord in ("device", "precision"):
-        seen = {r[coord] for r in rows if coord in r}
-        if len(seen) > 1:
-            raise _mixed_coordinate_error(coord, seen)
-    return rows
-
-
-def _check_table_coordinates(table: SweepTable) -> None:
-    """The multi-device/precision guard, as a vectorised uniqueness
-    check on the categorical codes (no row materialisation)."""
     for coord in ("device", "precision"):
         if coord in table.names:
             seen = table.unique(coord)
             if len(seen) > 1:
-                raise _mixed_coordinate_error(coord, seen)
+                raise ValueError(
+                    f"measurement rows span multiple {coord}s "
+                    f"({sorted(seen)}); fit one selector per {coord} "
+                    "(filter the rows or simulate one grid slice at a "
+                    "time)"
+                )
 
 
-def _table_key_column(table: SweepTable) -> str:
-    """The grouping column of a table (mirrors :func:`_instance_key`)."""
+def _instance_groups(table: SweepTable) -> Tuple[np.ndarray, List]:
+    """``(group id per row, group keys)``: one group per matrix.
+
+    Per-format rows of one matrix must collapse to one example, so the
+    key is an explicit identity column: ``matrix`` when every row is
+    named, else the sweep's ``spec_index``, else the grid's
+    ``instance`` index.  Rows with none of these are ambiguous —
+    grouping them by position would silently turn each format row into
+    its own "matrix" — so they are refused.
+    """
     for name in ("matrix", "spec_index", "instance"):
         if name in table.names:
-            return name
+            g, keys = table.group_index(name)
+            if name != "matrix" or "" not in keys:
+                return g, keys
     raise ValueError(
         "measurement row carries no 'matrix' name, 'spec_index' or "
         "'instance' key to group per-format rows by; add one of them "
@@ -174,18 +139,9 @@ class FormatSelector:
         self._models: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    def _vector(self, features: dict) -> np.ndarray:
-        return np.array(
-            [np.log1p(abs(float(features[k]))) for k in self.feature_keys]
-        )
-
     def _matrix(self, features_seq: Sequence[dict]) -> np.ndarray:
-        """Feature matrix for many instances in one vectorised pass.
-
-        ``np.log1p`` is applied elementwise either way, so each row is
-        bit-identical to the corresponding :meth:`_vector` call — the
-        batch paths below rely on that.
-        """
+        """Feature matrix (``log1p`` of absolute values), one row per
+        feature dict."""
         raw = np.array(
             [[abs(float(f[k])) for k in self.feature_keys]
              for f in features_seq],
@@ -193,20 +149,17 @@ class FormatSelector:
         ).reshape(len(features_seq), len(self.feature_keys))
         return np.log1p(raw)
 
-    def _table_groups(
+    def _groups(
         self, table: SweepTable
     ) -> Tuple[np.ndarray, List, np.ndarray]:
-        """``(group_id per row, group keys, feature matrix X)`` for a
-        columnar table.
+        """``(group id per row, group keys, feature matrix X)``.
 
-        Groups are per-matrix in first-appearance order and ``X`` row
-        ``i`` is bit-identical to ``_vector`` of group ``i``'s features
-        (``np.log1p``/``np.abs`` are applied elementwise either way);
-        the dict path's last-row-per-group feature choice is preserved
-        via an unbuffered per-group max of row positions.
+        Groups are per-matrix in first-appearance order; row ``i`` of
+        ``X`` holds the features of group ``i``'s last row, transformed
+        as in :meth:`_matrix` (``np.log1p``/``np.abs`` are elementwise).
         """
-        _check_table_coordinates(table)
-        g, keys = table.group_index(_table_key_column(table))
+        _check_coordinates(table)
+        g, keys = _instance_groups(table)
         last = np.full(len(keys), -1, dtype=np.int64)
         np.maximum.at(last, g, np.arange(len(table)))
         raw = np.stack(
@@ -219,38 +172,20 @@ class FormatSelector:
         return g, keys, np.log1p(raw)
 
     def fit(self, rows) -> "FormatSelector":
-        """Train from a :class:`~repro.core.table.SweepTable` (the
-        columnar fast path), from sweep dict rows with the feature keys
-        plus ``format`` and ``gflops``, or directly from a
-        :class:`~repro.perfmodel.batch.GridResult`.
+        """Train from a :class:`~repro.core.table.SweepTable`, sweep dict
+        rows with the feature keys plus ``format`` and ``gflops``, or a
+        :class:`~repro.perfmodel.batch.GridResult` (the latter two are
+        converted once by :func:`~repro.core.table.as_table`).
 
         Rows are grouped per matrix by an explicit instance key (name,
         ``spec_index`` or grid ``instance`` index); anonymous rows raise.
         A format that refused a matrix simply has no row for it; the model
         treats missing observations as zero performance for that matrix.
-        All input forms train bit-identical models.
         """
-        if isinstance(rows, SweepTable):
-            return self._fit_table(rows)
-        by_matrix: Dict[tuple, dict] = {}
-        perf: Dict[tuple, Dict[str, float]] = {}
-        for r in _as_rows(rows):
-            key = _instance_key(r)
-            by_matrix[key] = r
-            perf.setdefault(key, {})[r["format"]] = r["gflops"]
-        if not by_matrix:
-            raise ValueError("no training rows")
-        keys = list(by_matrix)
-        X = self._matrix([by_matrix[k] for k in keys])
-        for fmt in self.formats:
-            y = np.array([perf[k].get(fmt, 0.0) for k in keys])
-            self._models[fmt] = self._factory().fit(X, y)
-        return self
-
-    def _fit_table(self, table: SweepTable) -> "FormatSelector":
+        table = as_table(rows)
         if len(table) == 0:
             raise ValueError("no training rows")
-        g, _, X = self._table_groups(table)
+        g, _, X = self._groups(table)
         fmt_codes = table.codes("format")
         fmt_cats = table.categories("format")
         gflops = table.column("gflops")
@@ -258,182 +193,122 @@ class FormatSelector:
             y = np.zeros(len(X))
             if fmt in fmt_cats:
                 sel = fmt_codes == fmt_cats.index(fmt)
-                # Duplicate (matrix, format) rows keep the last value,
-                # exactly as the dict path's per-format dict does.
+                # Duplicate (matrix, format) rows keep the last value.
                 y[g[sel]] = gflops[sel]
             self._models[fmt] = self._factory().fit(X, y)
         return self
 
     def predict_gflops(self, features: dict) -> Dict[str, float]:
-        """Predicted GFLOPS for every candidate format."""
-        if not self._models:
-            raise RuntimeError("selector not fitted")
-        x = self._vector(features)[None, :]
-        return {
-            fmt: float(model.predict(x)[0])
-            for fmt, model in self._models.items()
-        }
+        """Predicted GFLOPS for every candidate format (a one-row
+        :meth:`predict_gflops_batch`)."""
+        scores = self.predict_gflops_batch([features])
+        return {fmt: float(s[0]) for fmt, s in scores.items()}
 
     def select(self, features: dict) -> str:
-        """The format with the highest predicted GFLOPS."""
-        scores = self.predict_gflops(features)
-        return max(scores, key=scores.get)
+        """The format with the highest predicted GFLOPS (a one-row
+        :meth:`select_batch`)."""
+        return self.select_batch([features])[0]
 
     # ------------------------------------------------------------------
+    def _predict(self, X: np.ndarray) -> Tuple[List[str], np.ndarray]:
+        """``(format names, (n_formats, n) predictions)``: one
+        ``model.predict`` per format over the whole batch."""
+        names = list(self._models)
+        preds = np.stack([
+            np.asarray(self._models[f].predict(X), dtype=np.float64)
+            for f in names
+        ])
+        return names, preds
+
+    def _scores(self, features_seq) -> Tuple[List[str], np.ndarray]:
+        if not self._models:
+            raise RuntimeError("selector not fitted")
+        return self._predict(self._matrix(list(features_seq)))
+
     def predict_gflops_batch(
         self, features_seq: Sequence[dict]
     ) -> Dict[str, np.ndarray]:
         """Predicted GFLOPS for every format over many instances.
 
-        One ``model.predict`` call per format over the whole batch;
-        entry ``[fmt][i]`` equals ``predict_gflops(features_seq[i])[fmt]``
-        bit for bit (per-sample tree routing and the per-format model are
-        independent of batch size).
+        Entry ``[fmt][i]`` does not depend on the batch (per-sample tree
+        routing and the per-format model are independent of batch size).
         """
-        if not self._models:
-            raise RuntimeError("selector not fitted")
-        X = self._matrix(list(features_seq))
-        return {
-            fmt: np.asarray(model.predict(X), dtype=np.float64)
-            for fmt, model in self._models.items()
-        }
+        names, preds = self._scores(features_seq)
+        return dict(zip(names, preds))
 
     def select_batch(self, features_seq: Sequence[dict]) -> List[str]:
-        """Best predicted format per instance (batch :meth:`select`).
-
-        Ties resolve to the earliest fitted format, exactly as the
-        scalar ``max`` over the prediction dict does.
-        """
-        features_seq = list(features_seq)
-        if not features_seq:
-            if not self._models:
-                raise RuntimeError("selector not fitted")
-            return []
-        scores = self.predict_gflops_batch(features_seq)
-        names = list(scores)
-        stacked = np.stack([scores[f] for f in names])
-        return [names[i] for i in np.argmax(stacked, axis=0)]
+        """Best predicted format per instance; ties resolve to the
+        earliest fitted format."""
+        names, preds = self._scores(features_seq)
+        return [names[i] for i in np.argmax(preds, axis=0)]
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, rows, batch: bool = True, detail: bool = False
-    ) -> SelectionReport:
+    def evaluate(self, rows, detail: bool = False) -> SelectionReport:
         """Top-1 accuracy and oracle-relative performance on held-out
-        rows (a :class:`~repro.core.table.SweepTable`, dict rows with
-        the :meth:`fit` schema, or a ``GridResult``).
+        rows (any :meth:`fit` input form).
 
-        ``batch`` (the default) scores all held-out instances with one
-        ``model.predict`` per format; ``batch=False`` keeps the
-        per-instance scalar loop as the reference oracle.  All input
-        forms and both scoring paths produce bit-identical reports.
+        All held-out instances are scored with one ``model.predict`` per
+        format.  The per-matrix truth is a dense (group, format) GFLOPS
+        matrix; a chosen format with no row for a matrix retains 0.
         ``detail`` adds a ``choices`` list with the per-instance
         (oracle, chosen, retained) triples that the experiment reports
-        aggregate into win/confusion tables.
+        aggregate into win/confusion tables.  A matrix whose best
+        measured GFLOPS is not positive has no retained fraction and
+        raises ``ValueError`` naming it.
         """
-        if isinstance(rows, SweepTable):
-            return self._evaluate_table(rows, batch=batch, detail=detail)
-        perf: Dict[tuple, Dict[str, float]] = {}
-        feats: Dict[tuple, dict] = {}
-        for r in _as_rows(rows):
-            key = _instance_key(r)
-            perf.setdefault(key, {})[r["format"]] = r["gflops"]
-            feats[key] = r
-        if not perf:
-            raise ValueError("no evaluation rows")
-        keys = list(perf)
-        if batch:
-            chosen_per_key = self.select_batch([feats[k] for k in keys])
-        else:
-            chosen_per_key = [self.select(feats[k]) for k in keys]
-        hits, retained, choices = 0, [], []
-        for key, chosen in zip(keys, chosen_per_key):
-            truth = perf[key]
-            oracle = max(truth, key=truth.get)
-            hits += chosen == oracle
-            kept = truth.get(chosen, 0.0) / truth[oracle]
-            retained.append(kept)
-            if detail:
-                choices.append({
-                    "instance": key[1],
-                    "oracle": oracle,
-                    "chosen": chosen,
-                    "retained": kept,
-                })
-        report = SelectionReport(
-            top1_accuracy=hits / len(perf),
-            mean_retained=float(np.mean(retained)),
-            worst_retained=float(np.min(retained)),
-            n_matrices=len(perf),
-        )
-        if detail:
-            report["choices"] = choices
-        return report
-
-    def _evaluate_table(
-        self, table: SweepTable, batch: bool, detail: bool
-    ) -> SelectionReport:
-        """Columnar :meth:`evaluate`: the per-group perf dicts become a
-        dense (group, format) matrix, built with two fancy-index
-        assignments instead of a dict per matrix."""
+        table = as_table(rows)
         if len(table) == 0:
             raise ValueError("no evaluation rows")
         if not self._models:
             raise RuntimeError("selector not fitted")
-        g, keys, X = self._table_groups(table)
-        n_groups = len(keys)
-        if batch:
-            preds = {
-                fmt: np.asarray(model.predict(X), dtype=np.float64)
-                for fmt, model in self._models.items()
-            }
-            names = list(preds)
-            stacked = np.stack([preds[f] for f in names])
-            chosen_names = [
-                names[i] for i in np.argmax(stacked, axis=0)
-            ]
-        else:
-            chosen_names = []
-            for i in range(n_groups):
-                scores = {
-                    fmt: float(model.predict(X[i:i + 1])[0])
-                    for fmt, model in self._models.items()
-                }
-                chosen_names.append(max(scores, key=scores.get))
+        g, keys, X = self._groups(table)
+        names, preds = self._predict(X)
+        chosen_idx = np.argmax(preds, axis=0)
 
         fmt_codes = table.codes("format")
         fmt_cats = table.categories("format")
-        gflops = table.column("gflops")
-        perf = np.full((n_groups, len(fmt_cats)), -np.inf)
-        seen = np.zeros((n_groups, len(fmt_cats)), dtype=bool)
-        perf[g, fmt_codes] = gflops  # duplicates: last value, as dicts
+        perf = np.full((len(keys), len(fmt_cats)), -np.inf)
+        seen = np.zeros((len(keys), len(fmt_cats)), dtype=bool)
+        perf[g, fmt_codes] = table.column("gflops")  # duplicates: last
         seen[g, fmt_codes] = True
         oracle_idx = np.argmax(perf, axis=1)
+        rows_i = np.arange(len(keys))
+        best = perf[rows_i, oracle_idx]
+        bad = np.flatnonzero(~(best > 0))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(
+                f"instance {keys[i]!r} has a best measured GFLOPS of "
+                f"{best[i]}; retained performance needs a positive "
+                "oracle (drop or re-measure the matrix)"
+            )
         code_of = {fmt: c for c, fmt in enumerate(fmt_cats)}
+        chosen_code = np.array(
+            [code_of.get(f, -1) for f in names], dtype=np.int64
+        )[chosen_idx]
+        has = chosen_code >= 0
+        num = np.zeros(len(keys))
+        at = (rows_i[has], chosen_code[has])
+        num[has] = np.where(seen[at], perf[at], 0.0)
+        retained = num / best
+        hits = chosen_code == oracle_idx
 
-        hits, retained, choices = 0, np.empty(n_groups), []
-        for i in range(n_groups):
-            oracle = fmt_cats[int(oracle_idx[i])]
-            chosen = chosen_names[i]
-            cc = code_of.get(chosen, -1)
-            num = perf[i, cc] if cc >= 0 and seen[i, cc] else 0.0
-            kept = num / perf[i, oracle_idx[i]]
-            hits += chosen == oracle
-            retained[i] = kept
-            if detail:
-                choices.append({
-                    "instance": keys[i],
-                    "oracle": oracle,
-                    "chosen": chosen,
-                    "retained": float(kept),
-                })
         report = SelectionReport(
-            top1_accuracy=hits / n_groups,
+            top1_accuracy=int(hits.sum()) / len(keys),
             mean_retained=float(np.mean(retained)),
             worst_retained=float(np.min(retained)),
-            n_matrices=n_groups,
+            n_matrices=len(keys),
         )
         if detail:
-            report["choices"] = choices
+            report["choices"] = [
+                {
+                    "instance": keys[i],
+                    "oracle": fmt_cats[oracle_idx[i]],
+                    "chosen": names[chosen_idx[i]],
+                    "retained": float(retained[i]),
+                }
+                for i in range(len(keys))
+            ]
         return report
 
     # ------------------------------------------------------------------
@@ -477,8 +352,10 @@ class FormatSelector:
         """Load a selector saved by :meth:`to_npz`.
 
         Raises :class:`SelectorVersionError` (a ``ValueError``) when the
-        file is not a selector artifact or was written by a different
-        schema version, with the retrain hint.
+        file is not a selector artifact, was written by a different
+        schema version or holds a model state that does not load (a
+        tree whose node arrays do not form one tree, a missing array),
+        with the retrain hint.
         """
         path = Path(path)
         try:
@@ -524,5 +401,12 @@ class FormatSelector:
                     if key.startswith(prefix)
                     and key != prefix + "__kind__"
                 }
-                selector._models[fmt] = family.from_state(state)
+                try:
+                    selector._models[fmt] = family.from_state(state)
+                except (KeyError, ValueError) as exc:
+                    raise SelectorVersionError(
+                        f"{path} holds a corrupt {kind} model for "
+                        f"format {fmt!r} ({exc}); retrain the artifact "
+                        "with `repro train`"
+                    ) from exc
             return selector

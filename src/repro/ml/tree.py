@@ -1,88 +1,41 @@
 """CART regression tree (variance-reduction splits), vectorised.
 
 The split search evaluates every candidate threshold of a feature in one
-NumPy pass (prefix sums of sorted targets).  With ``presort`` (the
-default) each feature is argsorted once per ``fit`` and the per-feature
-sorted orders are *partitioned* down the recursion — an O(n) subset per
-node instead of an O(n log n) re-sort, while producing bit-identical
-trees to the re-sorting search (``presort=False``, kept as the
-reference).
+NumPy pass (prefix sums of sorted targets).  Each feature is argsorted
+once per ``fit`` and the per-feature sorted orders are *partitioned*
+down the recursion — an O(n) subset per node instead of an O(n log n)
+re-sort.  The tree grows straight into preorder node arrays
+(``feature``, -1 marking a leaf; ``threshold``; ``left``/``right`` child
+indices; ``value``): the one representation ``predict`` routes over and
+``to_arrays``/``from_arrays`` persist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 __all__ = ["DecisionTreeRegressor"]
 
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+_FIELDS = ("feature", "threshold", "left", "right", "value")
+_DTYPES = (np.int64, np.float64, np.int64, np.int64, np.float64)
 
 
-def _best_split(X, y, min_leaf):
-    """Best (feature, threshold, sse) over all features, or None.
-
-    For each feature, candidates are midpoints between consecutive distinct
-    sorted values; split SSE is computed from prefix sums.
-    """
-    n, d = X.shape
-    total = y.sum()
-    total_sq = (y**2).sum()
-    best = None  # (sse, feature, threshold)
-    for j in range(d):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csum_sq = np.cumsum(ys**2)
-        # split after position i (left = first i+1 points)
-        k = np.arange(1, n)  # left sizes
-        valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        left_sum = csum[:-1]
-        left_sq = csum_sq[:-1]
-        right_sum = total - left_sum
-        right_sq = total_sq - left_sq
-        sse = (
-            left_sq - left_sum**2 / k
-            + right_sq - right_sum**2 / (n - k)
-        )
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        if np.isfinite(sse[i]) and (best is None or sse[i] < best[0]):
-            best = (float(sse[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
-
-
-def _best_split_presorted(X, y, idx, sorted_idx, feats, min_leaf):
-    """`_best_split` over a node given per-feature presorted row indices.
+def _best_split(X, y, idx, sorted_idx, feats, min_leaf):
+    """Best (sse, local feature index, threshold) of a node, or None.
 
     ``idx`` holds the node's rows in original order (for the totals);
-    ``sorted_idx[:, f]`` holds the same rows sorted by feature ``f``.
-    Because stable argsorts and order-preserving partitions both sort by
-    (value, original position), the per-feature orders — and hence every
-    prefix sum, tie-break and threshold — match the re-sorting search
-    bit for bit.
+    ``sorted_idx[:, f]`` holds the same rows sorted by feature ``f``
+    (stable: ties keep their original order).  Candidates are midpoints
+    between consecutive distinct sorted values; split SSE comes from
+    prefix sums.
     """
     n = len(idx)
     y_node = y[idx]
     total = y_node.sum()
     total_sq = (y_node**2).sum()
-    best = None  # (sse, local feature index, threshold)
+    best = None
     k = np.arange(1, n)  # left sizes
     for j_local, j in enumerate(feats):
         order = sorted_idx[:, j]
@@ -108,6 +61,44 @@ def _best_split_presorted(X, y, idx, sorted_idx, feats, min_leaf):
     return best
 
 
+def _check_nodes(feature, left, right, n_features) -> None:
+    """Raise ``ValueError`` unless the arrays form one tree rooted at
+    node 0 whose routing terminates: feature indices in
+    ``[-1, n_features)``, leaves (-1) without children, every child
+    after its parent and every non-root node reached exactly once."""
+    n = len(feature)
+    bad = np.flatnonzero((feature < -1) | (feature >= n_features))
+    if len(bad):
+        raise ValueError(
+            f"tree node {int(bad[0])} splits on feature "
+            f"{int(feature[bad[0]])}, outside [0, {n_features})"
+        )
+    internal = feature >= 0
+    bad = np.flatnonzero(~internal & ((left != -1) | (right != -1)))
+    if len(bad):
+        raise ValueError(
+            f"tree leaf {int(bad[0])} carries child indices; leaves "
+            "store -1"
+        )
+    parents = np.tile(np.flatnonzero(internal), 2)
+    children = np.concatenate([left[internal], right[internal]])
+    bad = np.flatnonzero((children <= parents) | (children >= n))
+    if len(bad):
+        parent = int(parents[bad[0]])
+        raise ValueError(
+            f"tree node {parent} has child index {int(children[bad[0]])};"
+            f" children must lie in ({parent}, {n})"
+        )
+    reached = np.bincount(children, minlength=n)[1:]
+    bad = np.flatnonzero(reached != 1)
+    if len(bad):
+        raise ValueError(
+            f"tree node {int(bad[0]) + 1} is reached "
+            f"{int(reached[bad[0]])} times from the root; every node "
+            "must be reached exactly once"
+        )
+
+
 class DecisionTreeRegressor:
     """Regression tree with depth / leaf-size / impurity stopping rules."""
 
@@ -118,7 +109,6 @@ class DecisionTreeRegressor:
         min_impurity_decrease: float = 0.0,
         max_features: Optional[int] = None,
         random_state: Optional[int] = None,
-        presort: bool = True,
     ):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -129,9 +119,7 @@ class DecisionTreeRegressor:
         self.min_impurity_decrease = min_impurity_decrease
         self.max_features = max_features
         self.random_state = random_state
-        self.presort = presort
-        self._root: Optional[_Node] = None
-        self._flat: Optional[dict] = None
+        self._nodes: Optional[dict] = None
         self.n_features_: int = 0
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
@@ -140,18 +128,18 @@ class DecisionTreeRegressor:
         if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
             raise ValueError("bad training shapes")
         self.n_features_ = X.shape[1]
-        self._flat = None
         rng = np.random.default_rng(self.random_state)
-        if self.presort:
-            # One stable argsort per feature for the whole fit; nodes
-            # partition these orders instead of re-sorting their subsets.
-            sorted_idx = np.argsort(X, axis=0, kind="stable")
-            self._root = self._grow_presorted(
-                X, y, np.arange(len(y), dtype=np.int64), sorted_idx,
-                depth=0, rng=rng,
-            )
-        else:
-            self._root = self._grow(X, y, depth=0, rng=rng)
+        nodes = tuple([] for _ in _FIELDS)
+        # One stable argsort per feature for the whole fit; nodes
+        # partition these orders instead of re-sorting their subsets.
+        self._grow(
+            X, y, np.arange(len(y), dtype=np.int64),
+            np.argsort(X, axis=0, kind="stable"), 0, rng, nodes,
+        )
+        self._nodes = {
+            field: np.array(values, dtype=dtype)
+            for field, dtype, values in zip(_FIELDS, _DTYPES, nodes)
+        }
         return self
 
     def _choose_features(self, d, rng) -> np.ndarray:
@@ -160,41 +148,21 @@ class DecisionTreeRegressor:
             return rng.choice(d, size=self.max_features, replace=False)
         return np.arange(d)
 
-    def _grow(self, X, y, depth, rng) -> _Node:
-        node = _Node(value=float(y.mean()))
-        n = len(y)
-        if (
-            depth >= self.max_depth
-            or n < 2 * self.min_samples_leaf
-            or np.all(y == y[0])
-        ):
-            return node
-        feats = self._choose_features(X.shape[1], rng)
-        found = _best_split(X[:, feats], y, self.min_samples_leaf)
-        if found is None:
-            return node
-        sse, j_local, thr = found
-        parent_sse = float(((y - y.mean()) ** 2).sum())
-        if parent_sse - sse < self.min_impurity_decrease * max(n, 1):
-            return node
-        j = int(feats[j_local])
-        mask = X[:, j] <= thr
-        node.feature = j
-        node.threshold = thr
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return node
-
-    def _grow_presorted(self, X, y, idx, sorted_idx, depth, rng) -> _Node:
-        """`_grow` over row-index views of the full training arrays.
+    def _grow(self, X, y, idx, sorted_idx, depth, rng, nodes) -> int:
+        """Append the subtree over rows ``idx`` to ``nodes`` in preorder
+        and return its root index.
 
         ``idx`` is the node's rows in original order; ``sorted_idx`` its
-        (n_node, d) per-feature sorted orders.  Every statistic is computed
-        over exactly the arrays the copying path would build, in the same
-        order, so the grown tree is identical bit for bit.
+        (n_node, d) per-feature sorted orders.
         """
+        feature, threshold, left, right, value = nodes
+        node = len(value)
         y_node = y[idx]
-        node = _Node(value=float(y_node.mean()))
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y_node.mean()))
         n = len(idx)
         if (
             depth >= self.max_depth
@@ -203,7 +171,7 @@ class DecisionTreeRegressor:
         ):
             return node
         feats = self._choose_features(X.shape[1], rng)
-        found = _best_split_presorted(
+        found = _best_split(
             X, y, idx, sorted_idx, feats, self.min_samples_leaf
         )
         if found is None:
@@ -221,43 +189,39 @@ class DecisionTreeRegressor:
         is_left[idx_left] = True
         mask2d = is_left[sorted_idx]
         d = sorted_idx.shape[1]
-        left_sorted = (
-            sorted_idx.T[mask2d.T].reshape(d, len(idx_left)).T
-        )
+        left_sorted = sorted_idx.T[mask2d.T].reshape(d, len(idx_left)).T
         right_sorted = (
             sorted_idx.T[~mask2d.T].reshape(d, len(idx_right)).T
         )
-        node.feature = j
-        node.threshold = thr
-        node.left = self._grow_presorted(
-            X, y, idx_left, left_sorted, depth + 1, rng
+        feature[node] = j
+        threshold[node] = thr
+        left[node] = self._grow(
+            X, y, idx_left, left_sorted, depth + 1, rng, nodes
         )
-        node.right = self._grow_presorted(
-            X, y, idx_right, right_sorted, depth + 1, rng
+        right[node] = self._grow(
+            X, y, idx_right, right_sorted, depth + 1, rng, nodes
         )
         return node
+
+    def _fitted(self) -> dict:
+        if self._nodes is None:
+            raise RuntimeError("model not fitted")
+        return self._nodes
 
     def predict(self, X) -> np.ndarray:
         """Leaf values of the rows of ``X``.
 
-        Routing runs over the flattened node arrays (:meth:`to_arrays`):
-        at most ``depth`` vectorised steps regardless of batch width, so
-        a single-row query costs the same handful of NumPy calls as a
-        64-row micro-batch.  Every row takes exactly the comparisons the
-        node walk (:meth:`_predict_walk`, kept as the reference oracle)
-        would take and lands on the same leaf, so the outputs are
-        bit-identical for every batch size.
+        Routing takes at most ``depth`` vectorised steps regardless of
+        batch width, so a single-row query costs the same handful of
+        NumPy calls as a 64-row micro-batch, and every row lands on the
+        same leaf whatever the batch size.
         """
-        if self._root is None:
-            raise RuntimeError("model not fitted")
+        nodes = self._fitted()
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError("bad predict shape")
-        flat = self._flat
-        if flat is None:
-            flat = self._flat = self._flatten()
-        feature, threshold = flat["feature"], flat["threshold"]
-        left, right, value = flat["left"], flat["right"], flat["value"]
+        feature, threshold = nodes["feature"], nodes["threshold"]
+        left, right, value = nodes["left"], nodes["right"], nodes["value"]
         node = np.zeros(len(X), dtype=np.int64)
         while True:
             feat = feature[node]
@@ -270,114 +234,46 @@ class DecisionTreeRegressor:
             node[rows] = np.where(go_left, left[at], right[at])
         return value[node]
 
-    def _predict_walk(self, X) -> np.ndarray:
-        """Node-object routing via index partitions (reference oracle)."""
-        if self._root is None:
-            raise RuntimeError("model not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise ValueError("bad predict shape")
-        out = np.empty(len(X), dtype=np.float64)
-        stack = [(self._root, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
-
-    # -- flattened node arrays (predict fast path + serialisation) -----
-    def _flatten(self) -> dict:
-        """Preorder node arrays: ``feature`` (-1 marks a leaf),
-        ``threshold``, ``left``/``right`` child indices, ``value``."""
-        feats: list = []
-        thr: list = []
-        left: list = []
-        right: list = []
-        value: list = []
-
-        def walk(node: _Node) -> int:
-            i = len(feats)
-            feats.append(node.feature if not node.is_leaf else -1)
-            thr.append(node.threshold)
-            left.append(-1)
-            right.append(-1)
-            value.append(node.value)
-            if not node.is_leaf:
-                left[i] = walk(node.left)
-                right[i] = walk(node.right)
-            return i
-
-        walk(self._root)
-        return {
-            "feature": np.array(feats, dtype=np.int64),
-            "threshold": np.array(thr, dtype=np.float64),
-            "left": np.array(left, dtype=np.int64),
-            "right": np.array(right, dtype=np.int64),
-            "value": np.array(value, dtype=np.float64),
-        }
-
     def to_arrays(self) -> dict:
         """Fitted state as plain arrays (``feature``/``threshold``/
         ``left``/``right``/``value`` + ``n_features``), the inverse of
         :meth:`from_arrays`; thresholds and leaf values round-trip
         exactly, so a reloaded tree predicts bit-identically."""
-        if self._root is None:
-            raise RuntimeError("model not fitted")
-        flat = self._flat
-        if flat is None:
-            flat = self._flat = self._flatten()
-        out = {k: v.copy() for k, v in flat.items()}
+        out = {k: v.copy() for k, v in self._fitted().items()}
         out["n_features"] = np.int64(self.n_features_)
         return out
 
     @classmethod
     def from_arrays(cls, arrays: dict) -> "DecisionTreeRegressor":
-        """Rebuild a fitted tree from :meth:`to_arrays` output."""
-        feature = np.asarray(arrays["feature"], dtype=np.int64)
-        threshold = np.asarray(arrays["threshold"], dtype=np.float64)
-        left = np.asarray(arrays["left"], dtype=np.int64)
-        right = np.asarray(arrays["right"], dtype=np.int64)
-        value = np.asarray(arrays["value"], dtype=np.float64)
-        n = len(feature)
-        if not n or any(
-            len(a) != n for a in (threshold, left, right, value)
-        ):
-            raise ValueError("inconsistent tree arrays")
+        """Rebuild a fitted tree from :meth:`to_arrays` output.
 
-        def build(i: int) -> _Node:
-            if not 0 <= i < n:
-                raise ValueError(f"tree child index {i} out of range")
-            node = _Node(
-                feature=int(feature[i]), threshold=float(threshold[i]),
-                value=float(value[i]),
-            )
-            if feature[i] >= 0:
-                node.left = build(int(left[i]))
-                node.right = build(int(right[i]))
-            return node
-
-        tree = cls()
-        tree._root = build(0)
-        tree.n_features_ = int(arrays["n_features"])
-        tree._flat = {
-            "feature": feature, "threshold": threshold,
-            "left": left, "right": right, "value": value,
+        Raises ``ValueError`` for arrays that are not one well-formed
+        tree (see :func:`_check_nodes`), so a corrupt artifact fails at
+        load time instead of looping or indexing out of range at
+        predict time.
+        """
+        nodes = {
+            field: np.asarray(arrays[field], dtype=dtype)
+            for field, dtype in zip(_FIELDS, _DTYPES)
         }
+        n = len(nodes["feature"])
+        if not n or any(len(a) != n for a in nodes.values()):
+            raise ValueError("inconsistent tree arrays")
+        n_features = int(arrays["n_features"])
+        _check_nodes(
+            nodes["feature"], nodes["left"], nodes["right"], n_features
+        )
+        tree = cls()
+        tree._nodes = nodes
+        tree.n_features_ = n_features
         return tree
 
     def depth(self) -> int:
-        """Realised depth of the fitted tree."""
-        def _d(node):
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(_d(node.left), _d(node.right))
-
-        if self._root is None:
-            raise RuntimeError("model not fitted")
-        return _d(self._root)
+        """Realised depth of the fitted tree (a lone leaf has depth 0)."""
+        nodes = self._fitted()
+        left, right = nodes["left"], nodes["right"]
+        depth = np.zeros(len(left), dtype=np.int64)
+        # Preorder: a parent's depth is final before its children's.
+        for i in np.flatnonzero(nodes["feature"] >= 0):
+            depth[left[i]] = depth[right[i]] = depth[i] + 1
+        return int(depth.max())

@@ -286,8 +286,8 @@ class ServiceApp:
             OrderedDict()
         )
         self._sweep_lock = threading.Lock()
-        # Warm the predict path (flattens every tree) so the first
-        # request is not the one paying the one-off setup cost.
+        # Warm the predict path so the first request is not the one
+        # paying its one-off setup cost.
         self.selector.predict_gflops_batch(
             [{k: 0.0 for k in self.selector.feature_keys}]
         )

@@ -2,10 +2,10 @@
 field, over a full testbed grid.
 
 `format_wins`/`win_table`/`feature_slice`/`bottleneck_census`/
-`optimal_ranges` each keep their historical dict-row implementation as
-the reference path; feeding the SweepTable itself must produce exactly
-the same values (same floats, same keys) through the vectorised column
-reductions.
+`optimal_ranges` reduce table columns; their historical dict-row loops
+live in ``tests/oracles/analysis.py``.  Feeding the library the
+SweepTable, or its dict rows (converted once at the boundary), must
+produce exactly the oracle's values (same floats, same keys).
 """
 
 import os
@@ -19,6 +19,8 @@ from repro.analysis import (
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
+
+from tests.oracles import analysis as oracle
 
 TINY = build_dataset_specs("tiny")
 SPECS = TINY if os.environ.get("REPRO_EXHAUSTIVE") == "1" else TINY[::7]
@@ -44,30 +46,42 @@ def formats_table():
     )
 
 
+def _agree(fn, table, *args, **kwargs):
+    """The library on the table and on its dict rows, and the oracle on
+    the dict rows, all equal; returns the common value."""
+    want = getattr(oracle, fn.__name__)(table.rows, *args, **kwargs)
+    assert fn(table, *args, **kwargs) == want
+    assert fn(table.rows, *args, **kwargs) == want
+    return want
+
+
 class TestWinsParity:
     def test_format_wins(self, best_table):
-        cpu = best_table.where(device="AMD-EPYC-24")
-        assert format_wins(cpu) == format_wins(cpu.rows)
+        assert _agree(format_wins, best_table.where(device="AMD-EPYC-24"))
 
     def test_format_wins_per_format_rows(self, formats_table):
-        assert format_wins(formats_table) == \
-            format_wins(formats_table.rows)
+        assert _agree(format_wins, formats_table)
 
     def test_format_wins_empty(self, best_table):
         empty = best_table.where(device="no-such-device")
-        assert format_wins(empty) == {} == format_wins(empty.rows)
+        assert _agree(format_wins, empty) == {}
+        assert format_wins([]) == {}
 
     def test_win_table(self, best_table):
         devices = [d.name for d in DEVICES] + ["no-such-device"]
-        assert win_table(best_table, devices) == \
-            win_table(best_table.rows, devices)
+        assert _agree(win_table, best_table, devices)
+        assert win_table([], devices) == {d: {} for d in devices}
 
 
 class TestCensusParity:
     @pytest.mark.parametrize("by", ["device", "format", "matrix"])
     def test_bottleneck_census(self, best_table, by):
-        assert bottleneck_census(best_table, by=by) == \
-            bottleneck_census(best_table.rows, by=by)
+        assert _agree(bottleneck_census, best_table, by=by)
+
+    def test_census_empty(self, best_table):
+        empty = best_table.where(device="no-such-device")
+        assert _agree(bottleneck_census, empty) == {}
+        assert bottleneck_census([]) == {}
 
     def test_census_values_sum_to_100(self, best_table):
         census = bottleneck_census(best_table)
@@ -84,25 +98,21 @@ class TestFeatureSliceParity:
 
     @pytest.mark.parametrize("sweep_key", ["req_neigh", "req_skew"])
     def test_feature_slice(self, best_table, sweep_key):
-        columnar = feature_slice(best_table, sweep_key, self.FIXED)
-        reference = feature_slice(best_table.rows, sweep_key, self.FIXED)
-        assert columnar == reference
-        assert columnar  # the slice actually selected something
+        # ...and the slice actually selected something.
+        assert _agree(feature_slice, best_table, sweep_key, self.FIXED)
 
     def test_all_rows_filtered_out(self, best_table):
         fixed = {"req_footprint_mb": lambda v: False}
-        assert feature_slice(best_table, "req_neigh", fixed) == {} == \
-            feature_slice(best_table.rows, "req_neigh", fixed)
+        assert _agree(feature_slice, best_table, "req_neigh", fixed) == {}
+        assert feature_slice([], "req_neigh", fixed) == {}
 
     def test_categorical_fixed_and_sweep_keys(self, best_table):
         """Regression: predicates on categorical columns (decoded str
         values carry no .item()) and categorical sweep keys must work
-        and match the dict path."""
+        and match the dict-row oracle."""
         fixed = {"device": lambda d: d == "AMD-EPYC-24"}
-        assert feature_slice(best_table, "req_neigh", fixed) == \
-            feature_slice(best_table.rows, "req_neigh", fixed)
-        assert feature_slice(best_table, "format", {}) == \
-            feature_slice(best_table.rows, "format", {})
+        assert _agree(feature_slice, best_table, "req_neigh", fixed)
+        assert _agree(feature_slice, best_table, "format", {})
 
 
 class TestOptimalRangesParity:
@@ -110,10 +120,7 @@ class TestOptimalRangesParity:
         "req_footprint_mb", "avg_nnz_per_row", "skew_coeff",
     ])
     def test_optimal_ranges(self, best_table, feature_key):
-        columnar = optimal_ranges(best_table, feature_key)
-        reference = optimal_ranges(best_table.rows, feature_key)
-        assert columnar == reference
-        assert columnar is not None
+        assert _agree(optimal_ranges, best_table, feature_key) is not None
 
     def test_top_fraction_validation(self, best_table):
         with pytest.raises(ValueError, match="top_fraction"):
@@ -121,4 +128,5 @@ class TestOptimalRangesParity:
 
     def test_empty_returns_none(self, best_table):
         empty = best_table.where(device="no-such-device")
-        assert optimal_ranges(empty, "skew_coeff") is None
+        assert _agree(optimal_ranges, empty, "skew_coeff") is None
+        assert optimal_ranges([], "skew_coeff") is None

@@ -7,8 +7,21 @@ from repro.core.features import extract_features
 from repro.core.generator import (
     MatrixSpec,
     artificial_matrix_generation,
+    artificial_structure_generation,
     row_length_profile,
 )
+
+from tests.oracles import generator as oracle
+
+BASELINE = "rowwise-baseline"
+
+
+def _generate(*args, method, **kwargs):
+    """A library engine, or the sequential Listing-1 oracle for
+    ``method="rowwise-baseline"``."""
+    if method == BASELINE:
+        return oracle.artificial_matrix_generation(*args, **kwargs)
+    return artificial_matrix_generation(*args, method=method, **kwargs)
 
 
 class TestRowLengthProfile:
@@ -71,19 +84,25 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="method"):
             artificial_matrix_generation(10, 10, 2, method="magic")
 
+    def test_sequential_baseline_is_not_a_library_engine(self):
+        for entry in (artificial_matrix_generation,
+                      artificial_structure_generation):
+            with pytest.raises(ValueError, match="method"):
+                entry(10, 10, 2, method=BASELINE)
+
     def test_negative_dims(self):
         with pytest.raises(ValueError):
             artificial_matrix_generation(-5, 10, 2)
 
 
-@pytest.mark.parametrize("method", ["chain", "rowwise", "rowwise-baseline"])
+@pytest.mark.parametrize("method", ["chain", "rowwise", BASELINE])
 class TestFidelity:
     """Requested features are realised within tolerance by every engine,
     including the sequential Listing-1 baseline the vectorised rowwise
-    engine replaced."""
+    engine replaced (``tests/oracles/generator.py``)."""
 
     def test_average_row_length(self, method):
-        m = artificial_matrix_generation(
+        m = _generate(
             3000, 3000, 15, seed=1, method=method
         )
         f = extract_features(m)
@@ -91,7 +110,7 @@ class TestFidelity:
 
     def test_similarity_grid(self, method):
         for target in (0.05, 0.5, 0.95):
-            m = artificial_matrix_generation(
+            m = _generate(
                 2500, 2500, 15, cross_row_sim=target, seed=2, method=method
             )
             f = extract_features(m)
@@ -104,7 +123,7 @@ class TestFidelity:
         # is tight everywhere.
         tol = 0.15 if method == "chain" else 0.25
         for target in (0.05, 0.95, 1.9):
-            m = artificial_matrix_generation(
+            m = _generate(
                 2500, 2500, 15, avg_num_neigh=target, seed=3, method=method
             )
             f = extract_features(m)
@@ -113,7 +132,7 @@ class TestFidelity:
     def test_skew_orders_of_magnitude(self, method):
         realised = []
         for target in (0.0, 100.0):
-            m = artificial_matrix_generation(
+            m = _generate(
                 4000, 4000, 8, skew_coeff=target, seed=4, method=method
             )
             realised.append(extract_features(m).skew_coeff)
@@ -121,26 +140,26 @@ class TestFidelity:
         assert realised[1] == pytest.approx(100, rel=0.35)
 
     def test_determinism(self, method):
-        a = artificial_matrix_generation(500, 500, 10, seed=42,
+        a = _generate(500, 500, 10, seed=42,
                                          method=method)
-        b = artificial_matrix_generation(500, 500, 10, seed=42,
+        b = _generate(500, 500, 10, seed=42,
                                          method=method)
         assert a == b
 
     def test_seed_changes_matrix(self, method):
-        a = artificial_matrix_generation(500, 500, 10, seed=1, method=method)
-        b = artificial_matrix_generation(500, 500, 10, seed=2, method=method)
+        a = _generate(500, 500, 10, seed=1, method=method)
+        b = _generate(500, 500, 10, seed=2, method=method)
         assert a != b
 
     def test_valid_csr(self, method):
-        m = artificial_matrix_generation(
+        m = _generate(
             800, 800, 12, skew_coeff=50, seed=5, method=method
         )
         m.validate()
         assert m.has_sorted_indices()
 
     def test_values_nonzero(self, method):
-        m = artificial_matrix_generation(200, 200, 5, seed=6, method=method)
+        m = _generate(200, 200, 5, seed=6, method=method)
         assert np.all(m.data != 0.0)
 
 
@@ -152,7 +171,7 @@ class TestEngineAgreement:
     def test_regularity_agreement(self, sim, neigh):
         fs = []
         for method in ("rowwise", "chain"):
-            m = artificial_matrix_generation(
+            m = _generate(
                 2000, 2000, 12, cross_row_sim=sim, avg_num_neigh=neigh,
                 seed=11, method=method,
             )
@@ -178,8 +197,8 @@ class TestEngineAgreement:
         replaced (they draw randomness differently, so agreement is
         statistical, not bitwise)."""
         fs = []
-        for method in ("rowwise", "rowwise-baseline"):
-            m = artificial_matrix_generation(
+        for method in ("rowwise", BASELINE):
+            m = _generate(
                 2000, 2000, 12, skew_coeff=skew, cross_row_sim=sim,
                 avg_num_neigh=neigh, seed=13, method=method,
             )

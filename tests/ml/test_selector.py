@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.table import SweepTable
 from repro.ml import FormatSelector
 
 
@@ -119,6 +120,17 @@ class TestRowGrouping:
         # performance reflects both formats being visible per matrix.
         assert report.retained > 0.5
 
+    def test_none_matrix_groups_by_spec_index(self):
+        """``matrix=None`` names no matrix: the rows still group by
+        their ``spec_index`` rather than failing to encode the name."""
+        rows = [dict(r, matrix=None) for r in self._unnamed_rows()]
+        sel = FormatSelector(["Fast", "Bal"]).fit(rows)
+        report = sel.evaluate(rows, detail=True)
+        assert report["n_matrices"] == 12
+        assert [c["instance"] for c in report["choices"]] == list(range(12))
+        named = FormatSelector(["Fast", "Bal"]).fit(self._unnamed_rows())
+        assert report == named.evaluate(self._unnamed_rows(), detail=True)
+
     def test_grid_instance_key_accepted(self):
         rows = [dict(r, spec_index=None, instance=r["spec_index"])
                 for r in self._unnamed_rows()]
@@ -151,6 +163,18 @@ class TestRowGrouping:
             r["precision"] = "fp64" if k % 2 else "fp32"
         with pytest.raises(ValueError, match="precision"):
             FormatSelector(["Fast", "Bal"]).fit(mixed_prec)
+
+    def test_zero_best_gflops_names_the_matrix(self):
+        """Retained performance divides by the best measured GFLOPS;
+        a matrix where every format measured 0 has none, for table and
+        dict-row input alike."""
+        rows = _synthetic_rows(n=10)
+        sel = FormatSelector(["Fast", "Bal"]).fit(rows)
+        held_out = [dict(r, gflops=0.0) if r["matrix"] == "m3" else r
+                    for r in rows]
+        for form in (held_out, SweepTable.from_rows(held_out)):
+            with pytest.raises(ValueError, match="'m3'.*GFLOPS"):
+                sel.evaluate(form)
 
     def test_multi_device_gridresult_rejected(self):
         from repro.core.generator import MatrixSpec

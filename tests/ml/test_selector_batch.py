@@ -1,17 +1,22 @@
 """Batched selector scoring must be bit-identical to the scalar oracle.
 
-The experiment runner evaluates whole held-out folds with one
-``model.predict`` per format; these tests pin that path to the
-per-instance scalar loop for every model family the experiments use.
+The selector scores every instance with one ``model.predict`` per
+format, and its scalar calls are one-row views of the batch calls;
+these tests pin them to the per-instance dict-row loop of
+``tests/oracles/selector.py`` for every model family the experiments
+use.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.table import SweepTable
 from repro.ml import (
     FormatSelector, KNeighborsRegressor, RandomForestRegressor,
     RidgeRegression,
 )
+
+from tests.oracles import selector as oracle
 
 
 def _rows(n=60, seed=0, fmt_names=("Fast", "Bal", "Rare")):
@@ -56,21 +61,37 @@ class TestBatchAgreement:
         batch = sel.predict_gflops_batch(feats)
         assert set(batch) == set(sel.formats)
         for i, f in enumerate(feats):
-            scalar = sel.predict_gflops(f)
+            scalar = oracle.predict_gflops(sel, f)
+            assert sel.predict_gflops(f) == scalar
             for fmt in sel.formats:
                 assert batch[fmt][i] == scalar[fmt]
 
     def test_select_batch_matches_scalar(self, model):
         sel = self._fitted(model)
         feats = [r for r in _rows(n=25, seed=3) if r["format"] == "Fast"]
-        assert sel.select_batch(feats) == [sel.select(f) for f in feats]
+        want = [oracle.select(sel, f) for f in feats]
+        assert sel.select_batch(feats) == want
+        assert [sel.select(f) for f in feats] == want
 
     def test_evaluate_batch_matches_scalar(self, model):
         sel = self._fitted(model)
         held_out = _rows(n=30, seed=4)
-        fast = sel.evaluate(held_out, batch=True)
-        oracle = sel.evaluate(held_out, batch=False)
-        assert fast == oracle
+        want = oracle.evaluate(sel, held_out, detail=True)
+        assert sel.evaluate(held_out, detail=True) == want
+        assert sel.evaluate(SweepTable.from_rows(held_out),
+                            detail=True) == want
+
+    def test_fit_matches_dict_row_oracle(self, model):
+        rows = _rows(seed=1)
+        ref = oracle.fit(FormatSelector(
+            ["Fast", "Bal", "Rare"], model_factory=MODEL_FACTORIES[model],
+        ), rows)
+        sel = self._fitted(model)
+        feats = [r for r in _rows(n=25, seed=2) if r["format"] == "Fast"]
+        got, want = sel.predict_gflops_batch(feats), \
+            ref.predict_gflops_batch(feats)
+        for fmt in sel.formats:
+            np.testing.assert_array_equal(got[fmt], want[fmt])
 
     def test_evaluate_detail_choices(self, model):
         sel = self._fitted(model)
@@ -91,7 +112,7 @@ class TestBatchEdgeCases:
         feats = [r for r in _rows(n=8, seed=6) if r["format"] == "Fast"]
         X = sel._matrix(feats)
         for i, f in enumerate(feats):
-            np.testing.assert_array_equal(X[i], sel._vector(f))
+            np.testing.assert_array_equal(X[i], oracle.vector(sel, f))
 
     def test_empty_matrix_shape(self):
         assert FormatSelector(["A"])._matrix([]).shape == (0, 5)
@@ -123,5 +144,6 @@ class TestBatchEdgeCases:
             ["B-second", "A-first"], model_factory=Const
         ).fit(_rows(n=6, seed=8, fmt_names=("B-second", "A-first")))
         feats = [r for r in _rows(n=6, seed=9) if r["format"] == "Fast"]
+        assert oracle.select(sel, feats[0]) == "B-second"
         assert sel.select(feats[0]) == "B-second"
         assert sel.select_batch(feats) == ["B-second"] * len(feats)

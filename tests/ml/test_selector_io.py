@@ -107,6 +107,55 @@ class TestErrors:
                            match="unknown model kind"):
             FormatSelector.from_npz(path)
 
+    @pytest.mark.parametrize("field,corrupt,match", [
+        # Left children point back at the root: routing never ends.
+        ("left", lambda a: np.where(a >= 0, 0, a), "child index 0"),
+        # A leaf split index past the feature vector.
+        ("feature", lambda a: np.where(a >= 0, 99, a), "feature 99"),
+        # A right child reached twice.
+        ("right", lambda a: np.where(a >= 0, a.max(), a),
+         "reached exactly once"),
+        # A leaf carrying a child index.
+        ("left", lambda a: np.where(a < 0, 1, a), "leaves store -1"),
+    ])
+    def test_corrupt_tree_is_actionable(self, tmp_path, field, corrupt,
+                                        match):
+        sel = FormatSelector(["Fast", "Bal"]).fit(_synthetic_rows())
+        path = tmp_path / "sel.npz"
+        sel.to_npz(path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        key = f"model/0/tree/0/{field}"
+        assert (payload["model/0/tree/0/feature"] >= 0).any()
+        payload[key] = corrupt(payload[key])
+        np.savez(path, **payload)
+        with pytest.raises(SelectorVersionError, match=match) as exc:
+            FormatSelector.from_npz(path)
+        assert str(path) in str(exc.value)
+        assert "retrain" in str(exc.value)
+
+    def test_missing_model_array_is_actionable(self, tmp_path):
+        sel = FormatSelector(["Fast", "Bal"]).fit(_synthetic_rows())
+        path = tmp_path / "sel.npz"
+        sel.to_npz(path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files
+                       if k != "model/1/tree/3/value"}
+        np.savez(path, **payload)
+        with pytest.raises(SelectorVersionError, match="corrupt forest"):
+            FormatSelector.from_npz(path)
+
+    def test_empty_forest_is_actionable(self, tmp_path):
+        sel = FormatSelector(["Fast", "Bal"]).fit(_synthetic_rows())
+        path = tmp_path / "sel.npz"
+        sel.to_npz(path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["model/0/n_trees"] = np.int64(0)
+        np.savez(path, **payload)
+        with pytest.raises(SelectorVersionError, match="0 trees"):
+            FormatSelector.from_npz(path)
+
     def test_error_is_a_value_error(self):
         # CLI error handling maps ValueError to exit 2; the version
         # error must ride that path.

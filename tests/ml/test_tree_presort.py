@@ -1,7 +1,8 @@
-"""Presorted split search: bit-identical trees to the re-sorting search.
+"""Presorted split search: bit-identical trees to the re-sorting oracle.
 
-The presort engine (argsort each feature once per fit, partition the
-sorted orders per node) must reproduce the legacy per-node re-sort
+The library tree (argsort each feature once per fit, partition the
+sorted orders per node, grow straight into preorder arrays) must
+reproduce the re-sorting node-object tree of ``tests/oracles/tree.py``
 exactly — same splits, same thresholds, same leaf values — across
 stopping rules, tie-heavy features and forest feature subsampling, and
 through a full fixed-seed selector run.
@@ -13,16 +14,16 @@ import pytest
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
 
+from tests.oracles.tree import OracleForest, OracleTree
 
-def _signature(node, out=None):
-    """Flattened (feature, threshold, value, is_leaf) preorder walk."""
-    if out is None:
-        out = []
-    out.append((node.feature, node.threshold, node.value, node.is_leaf))
-    if not node.is_leaf:
-        _signature(node.left, out)
-        _signature(node.right, out)
-    return out
+
+def _assert_same_tree(tree, oracle):
+    """Array-for-array equality of the preorder node layouts."""
+    got, want = tree.to_arrays(), oracle.to_arrays()
+    assert set(got) == set(want)
+    for field in want:
+        np.testing.assert_array_equal(got[field], want[field], field)
+        assert got[field].dtype == want[field].dtype, field
 
 
 def _data(n, d, seed, ties=True):
@@ -52,9 +53,9 @@ def _data(n, d, seed, ties=True):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_presort_tree_identical(kwargs, seed):
     X, y = _data(400, 6, seed)
-    fast = DecisionTreeRegressor(presort=True, **kwargs).fit(X, y)
-    ref = DecisionTreeRegressor(presort=False, **kwargs).fit(X, y)
-    assert _signature(fast._root) == _signature(ref._root)
+    fast = DecisionTreeRegressor(**kwargs).fit(X, y)
+    ref = OracleTree(**kwargs).fit(X, y)
+    _assert_same_tree(fast, ref)
     np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
     assert fast.depth() == ref.depth()
 
@@ -62,36 +63,33 @@ def test_presort_tree_identical(kwargs, seed):
 def test_presort_constant_targets():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     y = np.ones(20)
-    fast = DecisionTreeRegressor(presort=True).fit(X, y)
-    ref = DecisionTreeRegressor(presort=False).fit(X, y)
-    assert _signature(fast._root) == _signature(ref._root)
+    fast = DecisionTreeRegressor().fit(X, y)
+    ref = OracleTree().fit(X, y)
+    _assert_same_tree(fast, ref)
+    assert fast.depth() == ref.depth() == 0
 
 
 def test_presort_single_sample_and_duplicate_rows():
-    fast = DecisionTreeRegressor(presort=True).fit([[1.0, 2.0]], [3.0])
-    ref = DecisionTreeRegressor(presort=False).fit([[1.0, 2.0]], [3.0])
-    assert _signature(fast._root) == _signature(ref._root)
+    fast = DecisionTreeRegressor().fit([[1.0, 2.0]], [3.0])
+    ref = OracleTree().fit([[1.0, 2.0]], [3.0])
+    _assert_same_tree(fast, ref)
 
     X = np.tile(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]), (5, 1))
     y = np.arange(15, dtype=float)
-    fast = DecisionTreeRegressor(presort=True, min_samples_leaf=1).fit(X, y)
-    ref = DecisionTreeRegressor(presort=False, min_samples_leaf=1).fit(X, y)
-    assert _signature(fast._root) == _signature(ref._root)
+    fast = DecisionTreeRegressor(min_samples_leaf=1).fit(X, y)
+    ref = OracleTree(min_samples_leaf=1).fit(X, y)
+    _assert_same_tree(fast, ref)
 
 
 def test_presort_forest_identical():
     """Bagged trees draw the same bootstrap/feature randomness and grow
-    identical forests under either split engine."""
+    identical forests to the oracle's."""
     X, y = _data(250, 5, seed=11)
-    fast = RandomForestRegressor(
-        n_estimators=8, random_state=3, presort=True
-    ).fit(X, y)
-    ref = RandomForestRegressor(
-        n_estimators=8, random_state=3, presort=False
-    ).fit(X, y)
+    fast = RandomForestRegressor(n_estimators=8, random_state=3).fit(X, y)
+    ref = OracleForest(n_estimators=8, random_state=3).fit(X, y)
     assert len(fast.trees_) == len(ref.trees_)
     for a, b in zip(fast.trees_, ref.trees_):
-        assert _signature(a._root) == _signature(b._root)
+        _assert_same_tree(a, b)
     np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
 
 
@@ -108,20 +106,21 @@ def test_presort_selector_run_identical(all_archetypes):
     dev = TESTBEDS["AMD-EPYC-24"]
     grid = simulate_grid(instances, [dev], seed=0)
 
-    selectors = {}
-    for presort in (True, False):
-        sel = FormatSelector(
+    selectors = {
+        name: FormatSelector(
             list(dev.formats),
-            model_factory=lambda p=presort: RandomForestRegressor(
-                n_estimators=10, random_state=0, presort=p
+            model_factory=lambda cls=cls: cls(
+                n_estimators=10, random_state=0
             ),
         ).fit(grid)
-        selectors[presort] = sel
+        for name, cls in (("fast", RandomForestRegressor),
+                          ("ref", OracleForest))
+    }
     feats = [inst.features.to_dict() for inst in instances]
-    picks_fast = [selectors[True].select(f) for f in feats]
-    picks_ref = [selectors[False].select(f) for f in feats]
+    picks_fast = [selectors["fast"].select(f) for f in feats]
+    picks_ref = [selectors["ref"].select(f) for f in feats]
     assert picks_fast == picks_ref
-    for fmt, model in selectors[True]._models.items():
-        ref_model = selectors[False]._models[fmt]
+    for fmt, model in selectors["fast"]._models.items():
+        ref_model = selectors["ref"]._models[fmt]
         for a, b in zip(model.trees_, ref_model.trees_):
-            assert _signature(a._root) == _signature(b._root)
+            _assert_same_tree(a, b)

@@ -108,6 +108,27 @@ class TestTrain:
         assert rc == 2
         assert "dev-a" in capsys.readouterr().err  # names what exists
 
+    def test_corrupt_selector_is_exit_2(self, corpus_npz, tmp_path,
+                                        capsys):
+        """A tree whose children loop back to the root used to recurse
+        until RecursionError; serve must refuse it before binding."""
+        sel = tmp_path / "sel.npz"
+        assert main(["train", "--table", str(corpus_npz),
+                     "--out", str(sel)]) == 0
+        with np.load(sel) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["model/0/tree/0/left"] = np.zeros_like(
+            payload["model/0/tree/0/left"]
+        )
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **payload)
+        capsys.readouterr()
+        rc = main(["serve", "--table", str(corpus_npz),
+                   "--selector", str(bad), "--port", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "corrupt forest model" in err
+
     def test_unknown_model_is_exit_2(self, corpus_npz, tmp_path,
                                      capsys):
         # argparse rejects it at the flag level (choices=...), which

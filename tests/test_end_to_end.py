@@ -3,8 +3,8 @@
 The whole chain — sweep, selector training, batched evaluation — must
 produce *identical* results across every execution engine: serial vs
 parallel sweeps, the record sweep vs the scalar instance oracle
-(``tests/oracles``) under either stats engine, batched vs scalar
-selector evaluation.  Any drift in any layer shows up here as a
+(``tests/oracles``) under either stats engine, the batched columnar
+selector vs the dict-row scalar selector oracle.  Any drift in any layer shows up here as a
 field-level diff of the SelectionReport (and of the raw measurement
 rows, checked first for a sharper failure signal).
 """
@@ -17,6 +17,7 @@ from repro.devices import TESTBEDS
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.core.table import SweepTable
 from repro.ml import FormatSelector, KNeighborsRegressor
+from tests.oracles import selector as selector_oracle
 from tests.oracles.instance import OracleInstance
 from tests.oracles.sweep import InstanceDataset, spec_rows
 
@@ -50,7 +51,10 @@ def _table(jobs=1, engine="sweep", stats_engine="analytic",
 
 
 def _chain(eval_batch=True, **engine):
-    """One full sweep -> fit -> evaluate pass; returns (rows, report)."""
+    """One full sweep -> fit -> evaluate pass; returns (rows, report).
+
+    ``eval_batch=False`` evaluates with the per-instance scalar loop of
+    the dict-row selector oracle instead of the library's batch."""
     table = _table(**engine)
     rows = table.rows
     names = sorted({r["matrix"] for r in rows})
@@ -62,7 +66,9 @@ def _chain(eval_batch=True, **engine):
             n_neighbors=3, weights="distance"
         ),
     ).fit(train)
-    return rows, selector.evaluate(test, batch=eval_batch)
+    if not eval_batch:
+        return rows, selector_oracle.evaluate(selector, test)
+    return rows, selector.evaluate(test)
 
 
 @pytest.fixture(scope="module")
@@ -135,26 +141,37 @@ class TestColumnarAgreement:
             _dataset(), [TESTBEDS[DEVICE]], best_only=False, seed=0,
         )
 
-    def _reports(self, train, test, eval_batch=True):
-        selector = FormatSelector(
+    def _selector(self):
+        return FormatSelector(
             list(TESTBEDS[DEVICE].formats),
             model_factory=lambda: KNeighborsRegressor(
                 n_neighbors=3, weights="distance"
             ),
-        ).fit(train)
-        return selector.evaluate(test, batch=eval_batch, detail=True)
+        )
 
-    @pytest.mark.parametrize("eval_batch", [True, False])
-    def test_columnar_selector_equals_dict_row_path(self, table,
-                                                    eval_batch):
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_columnar_selector_equals_dict_row_path(self, table, oracle):
+        """The table and its dict rows train and evaluate identically;
+        with ``oracle`` the dict-row side is the scalar selector oracle
+        (``tests/oracles/selector.py``), else the library fed dict rows
+        through its one boundary conversion."""
         names = sorted({r["matrix"] for r in table.rows})
         half = names[: N_SPECS // 2]
         train_t = table.where_in("matrix", half)
         test_t = table.where_in("matrix", names[N_SPECS // 2:])
-        columnar = self._reports(train_t, test_t, eval_batch)
-        reference = self._reports(
-            train_t.to_rows(), test_t.to_rows(), eval_batch
+        columnar = self._selector().fit(train_t).evaluate(
+            test_t, detail=True
         )
+        train_r, test_r = train_t.to_rows(), test_t.to_rows()
+        if oracle:
+            reference = selector_oracle.evaluate(
+                selector_oracle.fit(self._selector(), train_r), test_r,
+                detail=True,
+            )
+        else:
+            reference = self._selector().fit(train_r).evaluate(
+                test_r, detail=True
+            )
         assert columnar == reference
 
     def test_npz_roundtrip_is_lossless(self, table, tmp_path):
